@@ -7,8 +7,9 @@ CPU-hungry configuration) in two modes on the same host:
 * **baseline** — the pre-optimisation implementations, kept runnable
   behind :mod:`repro.perf` (generic string-tag CDR dispatch, the
   table-driven reference MD4 block function, every memo cache off);
-* **optimized** — precompiled CDR codecs, the unrolled MD4 block
-  function, shared fan-out decode, and digest/RSA-verify memoisation.
+* **optimized** — precompiled CDR codecs, OpenSSL's MD4 (the unrolled
+  Python block function where OpenSSL MD4 is unavailable), shared
+  fan-out decode, and digest/RSA-verify memoisation.
 
 Because both implementations run in the same process on the same
 machine, the measured ratio is a portable regression gate: it asserts
@@ -54,6 +55,7 @@ import time
 from repro import perf
 from repro.bench.harness import run_packet_driver_case
 from repro.core.config import ImmuneConfig, SurvivabilityCase
+from repro.crypto import md4
 from repro.obs import Observability
 from repro.obs.export import export_jsonl
 
@@ -176,7 +178,7 @@ def run_gate(smoke=False, min_speedup=2.0, output="BENCH_pr2.json"):
     print("  baseline  (pre-PR equivalent): %.3f s" % baseline_s)
     print("  optimized (this tree):         %.3f s" % optimized_s)
     speedup = baseline_s / optimized_s if optimized_s else float("inf")
-    print("  speedup: %.2fx" % speedup)
+    print("  speedup: %.2fx (MD4 backend: %s)" % (speedup, md4.backend()))
 
     sim_baseline = _sim_fingerprint(baseline_result)
     sim_optimized = _sim_fingerprint(optimized_result)

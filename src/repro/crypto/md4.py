@@ -2,9 +2,9 @@
 
 The Immune system uses MD4 for the message digests carried in the
 token's ``message_digest_list`` field and for the 16-byte digest that
-is RSA-signed to produce the token signature.  This is a from-scratch
-implementation of RFC 1320, validated against the RFC's appendix test
-vectors in ``tests/unit/test_md4.py``.
+is RSA-signed to produce the token signature.  This module has a
+from-scratch implementation of RFC 1320, validated against the RFC's
+appendix test vectors in ``tests/unit/test_md4.py``.
 
 MD4 is cryptographically broken by modern standards; it is used here
 because reproducing the paper's system faithfully requires the same
@@ -12,13 +12,27 @@ because reproducing the paper's system faithfully requires the same
 depends on MD4 specifically — :class:`repro.crypto.keystore.KeyStore`
 takes the digest function as a parameter.
 
-Two block functions exist: :func:`_process_block` unpacks all sixteen
-words with one precompiled :class:`struct.Struct` call and fully
-unrolls the three rounds (the hot-loop implementation), and
-:func:`_process_block_reference` keeps the table-driven RFC
-transcription.  They are asserted equal over the RFC vectors and random
-inputs in the tests; :mod:`repro.perf` baseline mode selects the
-reference so the perf bench can measure the unrolled speedup.
+Three implementations exist, all reached through :func:`md4_digest`:
+
+* the **OpenSSL** backend (the optimised path): OpenSSL's MD4, called
+  through :mod:`ctypes` from the ``libcrypto`` the interpreter already
+  loaded for :mod:`hashlib`.  OpenSSL 3 keeps MD4 in its ``legacy``
+  provider, which is not loaded by default, so the backend creates a
+  private library context and loads the provider into that context
+  only; the process-wide default context, and so :mod:`hashlib`, is
+  untouched.  It is built once per process, at the first digest, and
+  used only after it reproduces two RFC 1320 vectors;
+* :func:`_process_block`, which unpacks all sixteen words with one
+  precompiled :class:`struct.Struct` call and fully unrolls the three
+  rounds: the optimised path wherever the OpenSSL backend cannot be
+  built (no OpenSSL 3, no legacy provider, a failed self-check);
+* :func:`_process_block_reference`, the table-driven RFC transcription:
+  :mod:`repro.perf` baseline mode selects it, so the byte-compares
+  across perf modes check OpenSSL against the RFC end to end.
+
+:func:`backend` names the implementation in use.  The tests assert all
+three equal over the RFC vectors and every input length up to 300
+bytes.
 """
 
 import functools
@@ -181,16 +195,121 @@ def _process_block(state, block):
     )
 
 
-@functools.lru_cache(maxsize=8192)
-def _md4_digest_cached(message):
+def _python_md4(message, block_fn=_process_block):
+    """MD4 of ``message`` (bytes) computed in Python with ``block_fn``."""
     state = (0x67452301, 0xEFCDAB89, 0x98BADCFE, 0x10325476)
     padded = _pad(message)
-    block_fn = (
-        _process_block if perf.optimized_enabled() else _process_block_reference
-    )
     for offset in range(0, len(padded), 64):
         state = block_fn(state, padded[offset : offset + 64])
     return struct.pack("<4I", *state)
+
+
+#: RFC 1320 appendix vectors the OpenSSL backend must reproduce before use
+_SELF_CHECK = (
+    (b"abc", bytes.fromhex("a448017aaf21d8525fc10ae87aa6729d")),
+    (b"message digest", bytes.fromhex("d9130a8164549fe818874806e1c7014b")),
+)
+
+
+def _load_openssl_md4():
+    """Build the OpenSSL MD4 function, or return ``None`` if it cannot run.
+
+    The symbols are resolved through the ``_hashlib`` extension's file:
+    it is linked against the ``libcrypto`` the interpreter already
+    loaded, and opening it avoids :func:`ctypes.util.find_library`,
+    which spawns ``ldconfig``/``gcc``.  ``None`` means: ctypes or
+    ``_hashlib`` missing, the file cannot be opened, a symbol is absent
+    (OpenSSL 1.1 has no ``OSSL_LIB_CTX_new``), the context, provider or
+    algorithm comes back NULL, or the result fails the self-check.  A
+    context built before such a failure is not freed: this runs at most
+    once per process.
+    """
+    try:
+        import ctypes
+        import _hashlib
+
+        lib = ctypes.CDLL(_hashlib.__file__)
+        lib_ctx_new = lib.OSSL_LIB_CTX_new
+        provider_load = lib.OSSL_PROVIDER_load
+        md_fetch = lib.EVP_MD_fetch
+        evp_digest = lib.EVP_Digest
+    except (ImportError, OSError, AttributeError):
+        return None
+    lib_ctx_new.argtypes = []
+    lib_ctx_new.restype = ctypes.c_void_p
+    provider_load.argtypes = [ctypes.c_void_p, ctypes.c_char_p]
+    provider_load.restype = ctypes.c_void_p
+    md_fetch.argtypes = [ctypes.c_void_p, ctypes.c_char_p, ctypes.c_char_p]
+    md_fetch.restype = ctypes.c_void_p
+    # EVP_Digest(data, count, md_out, size_out, type, engine)
+    evp_digest.argtypes = [
+        ctypes.c_char_p,
+        ctypes.c_size_t,
+        ctypes.c_char_p,
+        ctypes.c_void_p,
+        ctypes.c_void_p,
+        ctypes.c_void_p,
+    ]
+    evp_digest.restype = ctypes.c_int
+
+    lib_ctx = lib_ctx_new()
+    if not lib_ctx or not provider_load(lib_ctx, b"legacy"):
+        return None
+    md = md_fetch(lib_ctx, b"MD4", None)
+    if not md:
+        return None
+    create_buffer = ctypes.create_string_buffer
+
+    def openssl_md4(message):
+        out = create_buffer(16)
+        if evp_digest(message, len(message), out, None, md, None) != 1:
+            raise RuntimeError("OpenSSL EVP_Digest(MD4) failed")
+        return out.raw
+
+    try:
+        for message, expected in _SELF_CHECK:
+            if openssl_md4(message) != expected:
+                return None
+    except RuntimeError:
+        return None
+    return openssl_md4
+
+
+def _resolve_optimized():
+    """Bind the optimised-mode MD4: OpenSSL if it loads, else Python."""
+    global _optimized_md4
+    _optimized_md4 = _load_openssl_md4() or _python_md4
+    return _optimized_md4
+
+
+def _first_digest(message):
+    return _resolve_optimized()(message)
+
+
+#: the optimised-mode MD4; resolved at the first digest, not at import
+_optimized_md4 = _first_digest
+
+
+def backend():
+    """Name of the MD4 implementation in use: ``"openssl"`` or ``"python"``.
+
+    In baseline perf mode this is always ``"python"`` (the reference
+    block).  Otherwise it builds the OpenSSL backend if no digest has
+    done so yet.
+    """
+    if not perf.optimized_enabled():
+        return "python"
+    fn = _optimized_md4
+    if fn is _first_digest:
+        fn = _resolve_optimized()
+    return "python" if fn is _python_md4 else "openssl"
+
+
+@functools.lru_cache(maxsize=8192)
+def _md4_digest_cached(message):
+    if perf.optimized_enabled():
+        return _optimized_md4(message)
+    return _python_md4(message, _process_block_reference)
 
 
 class _LruCacheAdapter:

@@ -1,7 +1,13 @@
-"""MD4 against the RFC 1320 appendix test vectors."""
+"""MD4 against the RFC 1320 appendix test vectors, on every backend."""
+
+import ctypes
+import functools
+import hashlib
 
 import pytest
 
+from repro import perf
+from repro.crypto import md4
 from repro.crypto.md4 import md4_digest, md4_hexdigest
 
 RFC1320_VECTORS = [
@@ -51,3 +57,182 @@ def test_single_bit_change_changes_digest():
     base = md4_digest(b"\x00" * 64)
     flipped = md4_digest(b"\x01" + b"\x00" * 63)
     assert base != flipped
+
+
+# --- Backends: OpenSSL, the unrolled block and the reference block -------
+
+
+@pytest.fixture(scope="module")
+def openssl_md4():
+    fn = md4._load_openssl_md4()
+    if fn is None:
+        pytest.skip("OpenSSL MD4 (OpenSSL 3 legacy provider) is unavailable")
+    return fn
+
+
+@pytest.fixture
+def fresh_backend(monkeypatch):
+    """Unresolve the optimised backend and empty the digest memo.
+
+    monkeypatch restores the process's resolved backend afterwards.
+    """
+    monkeypatch.setattr(md4, "_optimized_md4", md4._first_digest)
+    md4._md4_digest_cached.cache_clear()
+    yield
+    md4._md4_digest_cached.cache_clear()
+
+
+def _reference(message):
+    return md4._python_md4(message, md4._process_block_reference)
+
+
+PYTHON_BACKENDS = {
+    "unrolled": functools.partial(md4._python_md4, block_fn=md4._process_block),
+    "reference": _reference,
+}
+
+
+@pytest.mark.parametrize("message,expected", RFC1320_VECTORS)
+@pytest.mark.parametrize("name", ["openssl", "unrolled", "reference"])
+def test_rfc1320_vectors_per_backend(request, name, message, expected):
+    if name == "openssl":
+        fn = request.getfixturevalue("openssl_md4")
+    else:
+        fn = PYTHON_BACKENDS[name]
+    assert fn(message).hex() == expected
+
+
+def test_unrolled_matches_reference_on_every_length():
+    for n in range(301):
+        message = bytes((i * 7 + n) & 0xFF for i in range(n))
+        assert md4._python_md4(message) == _reference(message), n
+
+
+def test_openssl_matches_reference_on_every_length(openssl_md4):
+    for n in range(301):
+        message = bytes((i * 13 + n) & 0xFF for i in range(n))
+        assert openssl_md4(message) == _reference(message), n
+    big = bytes(range(256)) * 16
+    assert len(big) == 4096
+    assert openssl_md4(big) == _reference(big)
+
+
+def test_md4_digest_bytes_and_bytearray_match_reference(fresh_backend):
+    for n in list(range(301)) + [4096]:
+        message = bytes((i * 31 + 5) & 0xFF for i in range(n))
+        expected = _reference(message)
+        assert md4.md4_digest(message) == expected, n
+        assert md4.md4_digest(bytearray(message)) == expected, n
+
+
+# --- Loader failures fall back to the unrolled Python block --------------
+
+
+class _Lib:
+    """The real libcrypto handle with chosen symbols replaced or removed.
+
+    Replacements are plain functions: like ctypes foreign functions,
+    they accept ``argtypes``/``restype`` attributes.
+    """
+
+    def __init__(self, real, replace=(), remove=()):
+        self._real = real
+        self._remove = set(remove)
+        for name, fn in dict(replace).items():
+            setattr(self, name, fn)
+
+    def __getattr__(self, name):
+        if name in self._remove:
+            raise AttributeError(name)
+        return getattr(self._real, name)
+
+
+def _raise_oserror(*args, **kwargs):
+    raise OSError("cannot open shared object file")
+
+
+def _patched_cdll(**patch):
+    real_cdll = ctypes.CDLL
+
+    def cdll(path, *args, **kwargs):
+        return _Lib(real_cdll(path, *args, **kwargs), **patch)
+
+    return cdll
+
+
+LOADER_FAILURES = {
+    "cdll-oserror": _raise_oserror,
+    "missing-symbol": _patched_cdll(remove=["OSSL_LIB_CTX_new"]),
+    "context-null": _patched_cdll(replace={"OSSL_LIB_CTX_new": lambda: None}),
+    "provider-null": _patched_cdll(
+        replace={"OSSL_PROVIDER_load": lambda ctx, name: None}
+    ),
+    "fetch-null": _patched_cdll(
+        replace={"EVP_MD_fetch": lambda ctx, alg, props: None}
+    ),
+    # Reports success without writing the digest: the self-check sees
+    # sixteen zero bytes.
+    "self-check-mismatch": _patched_cdll(
+        replace={"EVP_Digest": lambda *args: 1}
+    ),
+    "digest-error": _patched_cdll(
+        replace={"EVP_Digest": lambda *args: 0}
+    ),
+}
+
+
+@pytest.mark.parametrize("failure", sorted(LOADER_FAILURES))
+def test_loader_failure_falls_back_to_python(monkeypatch, fresh_backend, failure):
+    monkeypatch.setattr(ctypes, "CDLL", LOADER_FAILURES[failure])
+    assert md4._load_openssl_md4() is None
+    for message, expected in RFC1320_VECTORS:
+        assert md4.md4_hexdigest(message) == expected
+    assert md4.backend() == "python"
+    assert md4._optimized_md4 is md4._python_md4
+    for n in (0, 55, 56, 64, 300, 4096):
+        message = b"\xa5" * n
+        assert md4.md4_digest(message) == _reference(message)
+
+
+def test_backend_resolves_once_per_process(monkeypatch, fresh_backend):
+    calls = []
+    real_loader = md4._load_openssl_md4
+
+    def counting_loader():
+        calls.append(1)
+        return real_loader()
+
+    monkeypatch.setattr(md4, "_load_openssl_md4", counting_loader)
+    md4.md4_digest(b"first")
+    md4.md4_digest(b"second")
+    md4.backend()
+    assert len(calls) == 1
+
+
+def test_baseline_mode_never_calls_openssl(monkeypatch, fresh_backend):
+    def forbidden(*args):
+        raise AssertionError("OpenSSL MD4 called in baseline mode")
+
+    monkeypatch.setattr(md4, "_optimized_md4", forbidden)
+    monkeypatch.setattr(md4, "_load_openssl_md4", forbidden)
+    with perf.mode(False):
+        assert md4.backend() == "python"
+        for message, expected in RFC1320_VECTORS:
+            assert md4.md4_hexdigest(message) == expected
+
+
+def test_openssl_backend_is_active_when_available(openssl_md4):
+    with perf.mode(True):
+        assert md4.backend() == "openssl"
+
+
+def test_legacy_provider_stays_in_private_context(openssl_md4):
+    # Loading "legacy" into the default context would also switch off
+    # OpenSSL's implicit default provider for the whole process.
+    assert openssl_md4(b"abc").hex() == "a448017aaf21d8525fc10ae87aa6729d"
+    with pytest.raises(ValueError):
+        hashlib.new("md4")
+    assert hashlib.new("sha256", b"abc").hexdigest() == (
+        "ba7816bf8f01cfea414140de5dae2223b00361a396177a9cb410ff61f20015ad"
+    )
+    assert hashlib.sha256(b"").hexdigest().startswith("e3b0c442")
