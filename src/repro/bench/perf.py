@@ -6,10 +6,13 @@ CPU-hungry configuration) in two modes on the same host:
 
 * **baseline** — the pre-optimisation implementations, kept runnable
   behind :mod:`repro.perf` (generic string-tag CDR dispatch, the
-  table-driven reference MD4 block function, every memo cache off);
+  table-driven reference MD4 block function, plain ``pow(m, d, n)``
+  RSA signing, every memo cache off);
 * **optimized** — precompiled CDR codecs, OpenSSL's MD4 (the unrolled
-  Python block function where OpenSSL MD4 is unavailable), shared
-  fan-out decode, and digest/RSA-verify memoisation.
+  Python block function where OpenSSL MD4 is unavailable), RSA signing
+  by CRT with OpenSSL's half-width exponentiations (Python's ``pow``
+  where OpenSSL is unavailable), shared fan-out decode, and
+  digest/RSA-verify memoisation.
 
 Because both implementations run in the same process on the same
 machine, the measured ratio is a portable regression gate: it asserts
@@ -55,7 +58,7 @@ import time
 from repro import perf
 from repro.bench.harness import run_packet_driver_case
 from repro.core.config import ImmuneConfig, SurvivabilityCase
-from repro.crypto import md4
+from repro.crypto import md4, rsa
 from repro.obs import Observability
 from repro.obs.export import export_jsonl
 
@@ -178,7 +181,10 @@ def run_gate(smoke=False, min_speedup=2.0, output="BENCH_pr2.json"):
     print("  baseline  (pre-PR equivalent): %.3f s" % baseline_s)
     print("  optimized (this tree):         %.3f s" % optimized_s)
     speedup = baseline_s / optimized_s if optimized_s else float("inf")
-    print("  speedup: %.2fx (MD4 backend: %s)" % (speedup, md4.backend()))
+    print(
+        "  speedup: %.2fx (MD4 backend: %s, RSA sign backend: %s)"
+        % (speedup, md4.backend(), rsa.backend())
+    )
 
     sim_baseline = _sim_fingerprint(baseline_result)
     sim_optimized = _sim_fingerprint(optimized_result)

@@ -16,12 +16,13 @@ Three implementations exist, all reached through :func:`md4_digest`:
 
 * the **OpenSSL** backend (the optimised path): OpenSSL's MD4, called
   through :mod:`ctypes` from the ``libcrypto`` the interpreter already
-  loaded for :mod:`hashlib`.  OpenSSL 3 keeps MD4 in its ``legacy``
-  provider, which is not loaded by default, so the backend creates a
-  private library context and loads the provider into that context
-  only; the process-wide default context, and so :mod:`hashlib`, is
-  untouched.  It is built once per process, at the first digest, and
-  used only after it reproduces two RFC 1320 vectors;
+  loaded for :mod:`hashlib` (opened by :mod:`repro.crypto.libcrypto`).
+  OpenSSL 3 keeps MD4 in its ``legacy`` provider, which is not loaded
+  by default, so the backend creates a private library context and
+  loads the provider into that context only; the process-wide default
+  context, and so :mod:`hashlib`, is untouched.  It is built once per
+  process, at the first digest, and used only after it reproduces two
+  RFC 1320 vectors;
 * :func:`_process_block`, which unpacks all sixteen words with one
   precompiled :class:`struct.Struct` call and fully unrolls the three
   rounds: the optimised path wherever the OpenSSL backend cannot be
@@ -39,6 +40,7 @@ import functools
 import struct
 
 from repro import perf
+from repro.crypto.libcrypto import open_libcrypto
 
 _MASK = 0xFFFFFFFF
 
@@ -214,26 +216,24 @@ _SELF_CHECK = (
 def _load_openssl_md4():
     """Build the OpenSSL MD4 function, or return ``None`` if it cannot run.
 
-    The symbols are resolved through the ``_hashlib`` extension's file:
-    it is linked against the ``libcrypto`` the interpreter already
-    loaded, and opening it avoids :func:`ctypes.util.find_library`,
-    which spawns ``ldconfig``/``gcc``.  ``None`` means: ctypes or
-    ``_hashlib`` missing, the file cannot be opened, a symbol is absent
+    ``None`` means: libcrypto cannot be opened
+    (:func:`~repro.crypto.libcrypto.open_libcrypto`), a symbol is absent
     (OpenSSL 1.1 has no ``OSSL_LIB_CTX_new``), the context, provider or
     algorithm comes back NULL, or the result fails the self-check.  A
     context built before such a failure is not freed: this runs at most
     once per process.
     """
-    try:
-        import ctypes
-        import _hashlib
+    lib = open_libcrypto()
+    if lib is None:
+        return None
+    import ctypes
 
-        lib = ctypes.CDLL(_hashlib.__file__)
+    try:
         lib_ctx_new = lib.OSSL_LIB_CTX_new
         provider_load = lib.OSSL_PROVIDER_load
         md_fetch = lib.EVP_MD_fetch
         evp_digest = lib.EVP_Digest
-    except (ImportError, OSError, AttributeError):
+    except AttributeError:
         return None
     lib_ctx_new.argtypes = []
     lib_ctx_new.restype = ctypes.c_void_p

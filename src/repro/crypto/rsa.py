@@ -12,9 +12,25 @@ The digest is deterministically padded into a full-width integer
 that forging a signature for a different digest requires inverting RSA
 within the simulation — mutant tokens injected by the adversary module
 genuinely fail verification.
+
+A signature is computed by the Chinese Remainder Theorem when the key
+pair knows its primes: two half-width exponentiations, recombined with
+Garner's formula in Python.  In the optimised perf mode the two halves
+run in OpenSSL's ``BN_mod_exp_mont`` (through :mod:`ctypes`, from the
+libcrypto :mod:`repro.crypto.libcrypto` opens).  Each key pair builds
+its OpenSSL numbers and Montgomery contexts at its first signature and
+uses them only after they reproduce Python's :func:`pow`; any failure
+falls back to :func:`pow` for the halves.  Baseline perf mode signs
+with the plain ``pow(m, d, n)``, so the byte-compares across perf
+modes check the OpenSSL CRT path against textbook RSA end to end.
+:func:`backend` names the implementation in use.  Every path yields
+the same integer.
 """
 
+import weakref
+
 from repro import perf
+from repro.crypto.libcrypto import open_libcrypto
 from repro.crypto.primes import generate_prime
 
 
@@ -56,6 +72,177 @@ def _pad_digest(digest, modulus_bytes):
         )
     padding = b"\xff" * (modulus_bytes - len(digest) - 3)
     return b"\x00\x01" + padding + b"\x00" + digest
+
+
+# ----------------------------------------------------------------------
+# CRT halves in OpenSSL
+# ----------------------------------------------------------------------
+
+class _BnApi:
+    """The libcrypto BIGNUM functions, bound with their C signatures."""
+
+    def __init__(self, lib):
+        import ctypes
+
+        ptr, c_int, buf = ctypes.c_void_p, ctypes.c_int, ctypes.c_char_p
+
+        def bind(name, restype, *argtypes):
+            fn = getattr(lib, name)  # AttributeError: symbol missing
+            fn.restype = restype
+            fn.argtypes = list(argtypes)
+            setattr(self, name, fn)
+
+        bind("BN_new", ptr)
+        bind("BN_free", None, ptr)
+        bind("BN_bin2bn", ptr, buf, c_int, ptr)
+        bind("BN_bn2binpad", c_int, ptr, buf, c_int)
+        bind("BN_CTX_new", ptr)
+        bind("BN_CTX_free", None, ptr)
+        bind("BN_MONT_CTX_new", ptr)
+        bind("BN_MONT_CTX_set", c_int, ptr, ptr, ptr)
+        bind("BN_MONT_CTX_free", None, ptr)
+        # BN_mod_exp_mont(r, a, exponent, modulus, ctx, mont)
+        bind("BN_mod_exp_mont", c_int, ptr, ptr, ptr, ptr, ptr, ptr)
+        self.create_buffer = ctypes.create_string_buffer
+
+
+class _OpenSslError(Exception):
+    """Building the OpenSSL CRT state failed (handled by falling back)."""
+
+
+def _free_handles(handles):
+    for free, handle in reversed(handles):
+        free(handle)
+
+
+class _OpenSslHalves:
+    """One key pair's CRT exponentiations, computed by OpenSSL.
+
+    The primes, the CRT exponents, a reusable input and output, a
+    ``BN_CTX`` and one Montgomery context per prime are built once, by
+    :func:`_build_halves`; :func:`weakref.finalize` frees them with the
+    object.
+    """
+
+    def __init__(self, api, p, q, dp, dq):
+        self._api = api
+        self._handles = []
+        self._finalizer = weakref.finalize(self, _free_handles, self._handles)
+        self._ctx = self._own(api.BN_CTX_new(), api.BN_CTX_free)
+        self._a = self._own(api.BN_new(), api.BN_free)
+        self._r = self._own(api.BN_new(), api.BN_free)
+        self._p = self._prime_half(p, dp)
+        self._q = self._prime_half(q, dq)
+
+    def _own(self, handle, free):
+        if not handle:
+            raise _OpenSslError("libcrypto allocation returned NULL")
+        self._handles.append((free, handle))
+        return handle
+
+    def _number(self, value, size):
+        api = self._api
+        return self._own(
+            api.BN_bin2bn(value.to_bytes(size, "big"), size, None), api.BN_free
+        )
+
+    def _prime_half(self, prime, exponent):
+        api = self._api
+        size = (prime.bit_length() + 7) // 8
+        modulus = self._number(prime, size)
+        mont = self._own(api.BN_MONT_CTX_new(), api.BN_MONT_CTX_free)
+        if api.BN_MONT_CTX_set(mont, modulus, self._ctx) != 1:
+            raise _OpenSslError("BN_MONT_CTX_set failed")
+        exponent_bn = self._number(exponent, (exponent.bit_length() + 7) // 8 or 1)
+        return (modulus, exponent_bn, mont, size, api.create_buffer(size))
+
+    def _half(self, value, half):
+        """``pow(value, exponent, prime)`` for one prime half, or None."""
+        api = self._api
+        modulus, exponent, mont, size, out = half
+        a, r = self._a, self._r
+        if not api.BN_bin2bn(value.to_bytes(size, "big"), size, a):
+            return None
+        if api.BN_mod_exp_mont(r, a, exponent, modulus, self._ctx, mont) != 1:
+            return None
+        if api.BN_bn2binpad(r, out, size) != size:
+            return None
+        return int.from_bytes(out.raw, "big")
+
+    def halves(self, m_p, m_q):
+        """``(m_p ** dp mod p, m_q ** dq mod q)``; None on any failure.
+
+        Inputs must already be reduced modulo their prime.
+        """
+        mp = self._half(m_p, self._p)
+        if mp is None:
+            return None
+        mq = self._half(m_q, self._q)
+        if mq is None:
+            return None
+        return mp, mq
+
+
+def _build_halves(api, p, q, dp, dq):
+    """OpenSSL CRT state for one key, checked against :func:`pow`; or None."""
+    try:
+        halves = _OpenSslHalves(api, p, q, dp, dq)
+    except _OpenSslError:
+        return None
+    m = (p * q) // 3
+    m_p, m_q = m % p, m % q
+    if halves.halves(m_p, m_q) != (pow(m_p, dp, p), pow(m_q, dq, q)):
+        halves._finalizer()
+        return None
+    return halves
+
+
+#: a fixed CRT key (two Mersenne primes) the library must pass before
+#: any key pair uses it
+_SELF_CHECK_KEY = (2**127 - 1, 2**89 - 1, 65537, 257)
+
+
+def _load_bn_api():
+    """Bind OpenSSL's BIGNUM functions, or return ``None`` if unusable.
+
+    ``None`` means: libcrypto cannot be opened, a symbol is missing, or
+    exponentiation on a fixed key disagrees with :func:`pow`.
+    """
+    lib = open_libcrypto()
+    if lib is None:
+        return None
+    try:
+        api = _BnApi(lib)
+    except AttributeError:
+        return None
+    check = _build_halves(api, *_SELF_CHECK_KEY)
+    if check is None:
+        return None
+    check._finalizer()
+    return api
+
+
+#: marks "not resolved yet" for the process-wide API and per-key state
+_UNRESOLVED = object()
+_bn_api = _UNRESOLVED
+
+
+def _resolved_bn_api():
+    global _bn_api
+    if _bn_api is _UNRESOLVED:
+        _bn_api = _load_bn_api()
+    return _bn_api
+
+
+def backend():
+    """Name of the CRT-half implementation: ``"openssl"`` or ``"python"``.
+
+    In baseline perf mode this is always ``"python"`` (plain RSA).
+    Otherwise it binds libcrypto if no signature has done so yet.
+    """
+    if not perf.optimized_enabled():
+        return "python"
+    return "python" if _resolved_bn_api() is None else "openssl"
 
 
 class RsaPublicKey:
@@ -106,6 +293,16 @@ class RsaKeyPair:
             self._crt = (p, q, d % (p - 1), d % (q - 1), _modinv(q, p))
         else:
             self._crt = None
+        #: OpenSSL CRT state, built at the first optimised signature
+        #: (None: unavailable, use pow)
+        self._openssl = _UNRESOLVED
+
+    def _openssl_halves(self):
+        if self._openssl is _UNRESOLVED:
+            api = _resolved_bn_api()
+            p, q, dp, dq, _ = self._crt
+            self._openssl = None if api is None else _build_halves(api, p, q, dp, dq)
+        return self._openssl
 
     def sign(self, digest):
         """Sign a fixed-size digest; returns the signature as an int."""
@@ -113,8 +310,12 @@ class RsaKeyPair:
         m = int.from_bytes(block, "big")
         if self._crt is not None and perf.optimized_enabled():
             p, q, dp, dq, qinv = self._crt
-            mp = pow(m % p, dp, p)
-            mq = pow(m % q, dq, q)
+            m_p, m_q = m % p, m % q
+            openssl = self._openssl_halves()
+            halves = openssl.halves(m_p, m_q) if openssl is not None else None
+            if halves is None:
+                halves = pow(m_p, dp, p), pow(m_q, dq, q)
+            mp, mq = halves
             return mq + ((mp - mq) * qinv % p) * q
         return pow(m, self._d, self.public.n)
 

@@ -58,6 +58,50 @@ from repro.multicast.token import MAX_CERT_SPAN, Token, TokenCertificate
 _TOKEN_HISTORY = 64
 
 
+class LowWatermark:
+    """Deletes every key below a rising floor from one int-keyed dict.
+
+    ``low`` is a lower bound on the table's keys: an insert of a key
+    below it (a straggler, such as a historical token absorbed under
+    the floor) must lower it through :meth:`note`.  :meth:`prune`
+    deletes exactly the keys below ``floor`` -- walking the gap
+    ``[low, floor)`` when it is shorter than the table, else scanning
+    the table -- and raises ``low`` to ``floor``.  The protocol's floors
+    advance by a few keys per call, so pruning costs amortised O(1)
+    instead of a scan of the whole table on every token.
+    """
+
+    __slots__ = ("table", "low")
+
+    def __init__(self, table):
+        self.table = table
+        self.low = 0
+
+    def note(self, key):
+        if key < self.low:
+            self.low = key
+
+    def clear(self):
+        """Empty the table and reset the watermark."""
+        self.table.clear()
+        self.low = 0
+
+    def prune(self, floor):
+        """Delete every key below ``floor``; return the deleted keys."""
+        low = self.low
+        if floor <= low:
+            return ()
+        table = self.table
+        if floor - low < len(table):
+            stale = [key for key in range(low, floor) if key in table]
+        else:
+            stale = [key for key in table if key < floor]
+        for key in stale:
+            del table[key]
+        self.low = floor
+        return stale
+
+
 class DeliveryProtocol:
     """One processor's instance of the message delivery protocol."""
 
@@ -105,8 +149,10 @@ class DeliveryProtocol:
         self._send_queue = deque()
         #: seq -> list of distinct raw message variants (mutant candidates)
         self._received = {}
+        self._received_low = LowWatermark(self._received)
         #: seq -> (digest, originating token sender)
         self._digest_by_seq = {}
+        self._digest_low = LowWatermark(self._digest_by_seq)
         #: seq -> visit of the token whose digest list covers it (so
         #: retransmissions can resend the covering token too — a
         #: processor that missed the token cannot otherwise verify or
@@ -117,6 +163,7 @@ class DeliveryProtocol:
         self._last_accepted = None
         self._last_accepted_raw = b""
         self._token_raw_by_visit = {}
+        self._token_raw_low = LowWatermark(self._token_raw_by_visit)
         self._pending_rtr = set()
         self._progress_timer = None
         self._strikes = 0
@@ -141,12 +188,16 @@ class DeliveryProtocol:
         #: two digests for one visit convicts itself, and a signed token
         #: contradicting its own sender's claim convicts the sender
         self._vouch_claims = {}
+        self._vouch_low = LowWatermark(self._vouch_claims)
         #: visit -> extra raw token variants (mutant candidates kept
         #: until a certificate arbitrates which bytes are genuine)
         self._token_variants = {}
+        self._variants_low = LowWatermark(self._token_variants)
         #: (signer, first_visit, last_visit) -> raw certificate bytes,
         #: retained for recovery and duplicate suppression
         self._cert_raws = {}
+        #: a lower bound on the last visit of every key of _cert_raws
+        self._cert_low = 0
         #: own token visits since this processor last certified
         self._own_visits_since_cert = 0
         self._last_cert_raw = b""
@@ -234,10 +285,10 @@ class DeliveryProtocol:
         self._ceiling = None
         self.members = tuple(sorted(members))
         self.ring_id = ring_id
-        self._received.clear()
-        self._digest_by_seq.clear()
+        self._received_low.clear()
+        self._digest_low.clear()
         self._token_covering.clear()
-        self._token_raw_by_visit.clear()
+        self._token_raw_low.clear()
         self._pending_rtr.clear()
         self._delivered_up_to = start_seq
         self._max_seq_seen = start_seq
@@ -250,9 +301,10 @@ class DeliveryProtocol:
         self._parked_origination = None
         self._recent_arus = deque(maxlen=max(len(self.members), 2))
         self._auth_visit = 0
-        self._vouch_claims.clear()
-        self._token_variants.clear()
+        self._vouch_low.clear()
+        self._variants_low.clear()
         self._cert_raws.clear()
+        self._cert_low = 0
         self._last_cert_raw = b""
         self._last_cert_span = None
         self._convicted = set()
@@ -372,6 +424,7 @@ class DeliveryProtocol:
             # message backlog.
             return
         variants = self._received.setdefault(message.seq, [])
+        self._received_low.note(message.seq)
         if raw not in variants:
             if len(variants) < 3:
                 variants.append(raw)
@@ -533,12 +586,14 @@ class DeliveryProtocol:
         if self._m_token_visits is not None:
             self._m_certs_verified.inc()
         self._cert_raws[key] = raw
+        self._cert_low = min(self._cert_low, cert.last_visit)
         self._last_activity = self.scheduler.now
         self._apply_vouches(cert)
 
     def _apply_vouches(self, cert):
         """Record a verified certificate's per-visit digest claims."""
         conflicted = []
+        self._vouch_low.note(cert.first_visit)  # the span's lowest visit
         for visit, digest in cert.entries():
             if visit < 1:
                 continue
@@ -604,6 +659,7 @@ class DeliveryProtocol:
 
     def _note_variant(self, visit, raw):
         variants = self._token_variants.setdefault(visit, [])
+        self._variants_low.note(visit)
         if raw not in variants and len(variants) < 4:
             variants.append(raw)
 
@@ -697,10 +753,11 @@ class DeliveryProtocol:
     def _harvest_token(self, token, raw):
         """Adopt ``raw`` as the genuine token of its visit: store the
         bytes and (re)index the message digests it carries."""
-        self._token_raw_by_visit[token.visit] = raw
+        self._store_token_raw(token.visit, raw)
         if self.config.security.digests_enabled:
             for seq, digest in token.message_digest_list:
                 self._digest_by_seq[seq] = (digest, token.sender_id)
+                self._digest_low.note(seq)
                 self._token_covering[seq] = token.visit
 
     def _unharvest(self, visit):
@@ -747,6 +804,7 @@ class DeliveryProtocol:
         self._last_cert_span = span
         self._last_cert_raw = raw
         self._cert_raws[(self.my_id, first, newest)] = raw
+        self._cert_low = min(self._cert_low, newest)
         self._own_visits_since_cert = 0
         self.stats["certs_signed"] += 1
         if self._m_token_visits is not None:
@@ -770,6 +828,7 @@ class DeliveryProtocol:
                 send_at, self._transmit_frames, [raw], label="cert.transmit"
             )
         # Our own broadcast does not loop back: apply the vouches here.
+        self._vouch_low.note(first)
         for vouch_visit, digest in cert.entries():
             self._vouch_claims.setdefault(vouch_visit, {})[self.my_id] = digest
         self._advance_authentication()
@@ -788,6 +847,10 @@ class DeliveryProtocol:
     # token acceptance and origination
     # ------------------------------------------------------------------
 
+    def _store_token_raw(self, visit, raw):
+        self._token_raw_by_visit[visit] = raw
+        self._token_raw_low.note(visit)
+
     def _digest_of(self, data):
         # Structural hashing for chain comparison; uses the keystore's
         # digest function without charging (already charged at verify).
@@ -795,10 +858,11 @@ class DeliveryProtocol:
 
     def _absorb_historical_token(self, token, raw):
         """Recover the digest list of a token missed earlier."""
-        self._token_raw_by_visit[token.visit] = raw
+        self._store_token_raw(token.visit, raw)
         if self.config.security.digests_enabled:
             for seq, digest in token.message_digest_list:
                 self._digest_by_seq.setdefault(seq, (digest, token.sender_id))
+                self._digest_low.note(seq)
                 self._token_covering.setdefault(seq, token.visit)
         self._max_seq_seen = max(self._max_seq_seen, token.seq)
         self._advance_delivery()
@@ -811,7 +875,7 @@ class DeliveryProtocol:
         self.detector.absolve(token.sender_id)
         self._last_accepted = token
         self._last_accepted_raw = raw
-        self._token_raw_by_visit[token.visit] = raw
+        self._store_token_raw(token.visit, raw)
         self._prune_token_history(token.visit)
         self._max_seq_seen = max(self._max_seq_seen, token.seq)
         self.stats["token_visits"] += 1
@@ -827,6 +891,7 @@ class DeliveryProtocol:
         if self.config.security.digests_enabled:
             for seq, digest in token.message_digest_list:
                 self._digest_by_seq[seq] = (digest, token.sender_id)
+                self._digest_low.note(seq)
                 self._token_covering[seq] = token.visit
         self._strikes = 0
         self._reset_progress_timer()
@@ -985,7 +1050,7 @@ class DeliveryProtocol:
         # Treat our own token as accepted so the chain continues from it.
         self._last_accepted = token
         self._last_accepted_raw = raw
-        self._token_raw_by_visit[token.visit] = raw
+        self._store_token_raw(token.visit, raw)
         for seq, _ in digest_list:
             self._token_covering[seq] = token.visit
         if self._tracer is not None and digest_list:
@@ -1067,9 +1132,11 @@ class DeliveryProtocol:
                 digest = self.signing.digest(raw)
                 digest_list.append((seq, digest))
                 self._digest_by_seq[seq] = (digest, self.my_id)
+                self._digest_low.note(seq)
                 # covering visit recorded below once the token is built
             self._outgoing_frames.append(raw)
             self._received.setdefault(seq, []).append(raw)
+            self._received_low.note(seq)
             self._max_seq_seen = seq
             self.stats["sent"] += 1
             if self._m_token_visits is not None:
@@ -1313,24 +1380,26 @@ class DeliveryProtocol:
         return min(self._recent_arus)
 
     def _collect_garbage(self, token_aru):
-        aru = self._safe_gc_threshold(token_aru)
-        for seq in [s for s in self._received if s <= aru and s <= self._delivered_up_to]:
-            del self._received[seq]
-        for seq in [s for s in self._digest_by_seq if s <= aru and s <= self._delivered_up_to]:
-            del self._digest_by_seq[seq]
+        """Forget every seq at or below both the safe aru and delivery."""
+        floor = min(self._safe_gc_threshold(token_aru), self._delivered_up_to) + 1
+        self._received_low.prune(floor)
+        for seq in self._digest_low.prune(floor):
             self._token_covering.pop(seq, None)
 
     def _prune_token_history(self, newest_visit):
+        """Forget every visit more than ``_TOKEN_HISTORY`` below the newest."""
         floor = newest_visit - _TOKEN_HISTORY
-        for visit in [v for v in self._token_raw_by_visit if v < floor]:
-            del self._token_raw_by_visit[visit]
+        self._token_raw_low.prune(floor)
         if self._batch:
-            for visit in [v for v in self._vouch_claims if v < floor]:
-                del self._vouch_claims[visit]
-            for visit in [v for v in self._token_variants if v < floor]:
-                del self._token_variants[visit]
-            for key in [k for k in self._cert_raws if k[2] < floor]:
-                del self._cert_raws[key]
+            self._vouch_low.prune(floor)
+            self._variants_low.prune(floor)
+            if floor > self._cert_low:
+                # Keyed by span, so no gap to walk: scan, but only once
+                # the oldest retained span has actually expired.
+                cert_raws = self._cert_raws
+                for key in [k for k in cert_raws if k[2] < floor]:
+                    del cert_raws[key]
+                self._cert_low = min((k[2] for k in cert_raws), default=floor)
 
     def _rebroadcast_evidence(self, visit):
         raw = self._token_raw_by_visit.get(visit)

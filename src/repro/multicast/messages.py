@@ -269,17 +269,24 @@ class MembershipProposal:
         signable = decoder.read("octets")
         signature = _octets_to_int(decoder.read("octets"))
         inner = CdrDecoder(signable)
-        proposal = cls(
-            inner.read("ulong"),
-            inner.read("ulong"),
-            inner.read("ulong"),
-            inner.read(("sequence", "ulong")),
-            inner.read("ulonglong"),
-            inner.read(("sequence", "ulong")),
-            joining=inner.read("boolean"),
+        proposer = inner.read("ulong")
+        old_ring_id = inner.read("ulong")
+        round_number = inner.read("ulong")
+        candidate_set = _read_sorted_ulongs(inner)
+        have_contiguous = inner.read("ulonglong")
+        suspects = _read_sorted_ulongs(inner)
+        joining = inner.read("boolean")
+        expect_end(inner, "proposal body")
+        return cls(
+            proposer,
+            old_ring_id,
+            round_number,
+            candidate_set,
+            have_contiguous,
+            suspects,
+            joining=joining,
             signature=signature,
         )
-        return proposal
 
     def __repr__(self):
         return "MembershipProposal(P%d, ring=%d, round=%d, set=%s)" % (
@@ -327,7 +334,9 @@ class JoinRequest:
         signable = decoder.read("octets")
         signature = _octets_to_int(decoder.read("octets"))
         inner = CdrDecoder(signable)
-        return cls(inner.read("ulong"), inner.read("double"), signature)
+        request = cls(inner.read("ulong"), inner.read("double"), signature)
+        expect_end(inner, "join request body")
+        return request
 
     def __repr__(self):
         return "JoinRequest(P%d @ %.3f)" % (self.proc_id, self.request_time)
@@ -373,13 +382,22 @@ class MembershipCommit:
         )
 
     def proposals(self):
-        """Decode the bundled proposals (each is a full proposal frame)."""
+        """Decode the bundled proposals (each is a full proposal frame).
+
+        Raises :class:`MulticastCodecError` on any malformed proposal:
+        the bundle arrived off the network and may be corrupted.
+        """
         out = []
         for frame in self.proposal_frames:
             inner = CdrDecoder(frame)
-            if inner.read("octet") != FRAME_PROPOSAL:
-                raise MulticastCodecError("commit bundle contains a non-proposal frame")
-            out.append((MembershipProposal.decode(inner), frame))
+            try:
+                if inner.read("octet") != FRAME_PROPOSAL:
+                    raise MulticastCodecError("commit bundle contains a non-proposal frame")
+                proposal = MembershipProposal.decode(inner)
+                expect_end(inner, "bundled proposal")
+            except MarshalError as exc:
+                raise MulticastCodecError("malformed proposal in commit bundle: %s" % exc)
+            out.append((proposal, frame))
         return out
 
     def __repr__(self):
@@ -397,33 +415,64 @@ def _int_to_octets(value):
 
 
 def _octets_to_int(data):
+    """Inverse of :func:`_int_to_octets`; rejects every other spelling
+    (empty, or leading zero octets) so that decoding stays canonical."""
+    if not data or (data[0] == 0 and len(data) > 1):
+        raise MarshalError("non-minimal integer octets")
     return int.from_bytes(data, "big")
 
 
-def decode_frame(data):
-    """Parse one multicast frame; raises MulticastCodecError on garbage."""
-    from repro.multicast.token import Token, TokenCertificate  # local import to avoid a cycle
+def _read_sorted_ulongs(decoder):
+    """A ``sequence<ulong>`` the encoder wrote in ascending order."""
+    values = decoder.read(("sequence", "ulong"))
+    if values != sorted(values):
+        raise MarshalError("set members out of order")
+    return values
 
+
+def expect_end(decoder, what):
+    """Reject bytes left over after a complete ``what``."""
+    if not decoder.at_end():
+        raise MarshalError("%d trailing bytes after %s" % (decoder.remaining(), what))
+
+
+#: frame-type octet -> frame class, filled at the first decode (the
+#: token classes import this module)
+_FRAME_CLASSES = {}
+
+
+def decode_frame(data):
+    """Parse one multicast frame; raises MulticastCodecError on garbage.
+
+    Decoding is canonical: a frame is accepted only if re-encoding it
+    yields exactly ``data`` (no trailing bytes, padding or spelling the
+    encoder would not produce), so two raw frames differ iff their
+    fields do.
+    """
+    if not _FRAME_CLASSES:
+        from repro.multicast.token import Token, TokenCertificate
+
+        for cls in (
+            RegularMessage,
+            Token,
+            MembershipProposal,
+            MembershipCommit,
+            JoinRequest,
+            MessageFragment,
+            TokenCertificate,
+        ):
+            _FRAME_CLASSES[cls.frame_type] = cls
     decoder = CdrDecoder(data)
     try:
         frame_type = decoder.read_octet()
-        if frame_type == FRAME_REGULAR:
-            return RegularMessage.decode(decoder)
-        if frame_type == FRAME_TOKEN:
-            return Token.decode(decoder)
-        if frame_type == FRAME_PROPOSAL:
-            return MembershipProposal.decode(decoder)
-        if frame_type == FRAME_COMMIT:
-            return MembershipCommit.decode(decoder)
-        if frame_type == FRAME_JOIN_REQUEST:
-            return JoinRequest.decode(decoder)
-        if frame_type == FRAME_FRAGMENT:
-            return MessageFragment.decode(decoder)
-        if frame_type == FRAME_CERTIFICATE:
-            return TokenCertificate.decode(decoder)
+        cls = _FRAME_CLASSES.get(frame_type)
+        if cls is None:
+            raise MulticastCodecError("unknown frame type %d" % frame_type)
+        frame = cls.decode(decoder)
+        expect_end(decoder, "multicast frame")
     except MarshalError as exc:
         raise MulticastCodecError("malformed multicast frame: %s" % exc)
-    raise MulticastCodecError("unknown frame type %d" % frame_type)
+    return frame
 
 
 #: frame bytes -> decoded frame object, shared across the whole LAN:

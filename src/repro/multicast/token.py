@@ -29,6 +29,7 @@ from repro.multicast.messages import (
     FRAME_TOKEN,
     _int_to_octets,
     _octets_to_int,
+    expect_end,
 )
 
 DIGEST_ENTRY_TAG = ("struct", (("seq", "ulonglong"), ("digest", "octets")))
@@ -58,6 +59,7 @@ class Token:
         "message_digest_list",
         "prev_token_digest",
         "signature",
+        "_received_signable",
     )
 
     def __init__(
@@ -90,6 +92,9 @@ class Token:
         self.message_digest_list = list(message_digest_list)
         self.prev_token_digest = prev_token_digest
         self.signature = signature
+        #: the signed bytes as received (decoded frames only; see
+        #: signable_bytes)
+        self._received_signable = None
 
     # ------------------------------------------------------------------
     # encoding
@@ -98,11 +103,19 @@ class Token:
     def signable_bytes(self):
         """All fields except the signature, in canonical order.
 
+        A decoded token returns the slice it was decoded from: decoding
+        is canonical, so that slice is exactly the re-encoding, and
+        every receiver of a shared frame verifies without re-encoding
+        it.  A locally constructed token is encoded afresh on each call
+        (callers may change its fields after signing).
+
         Sequences are emitted with the direct primitive methods
         (length then elements, structs field by field) — byte-identical
         to the generic ``("sequence", ...)`` tags this encoding used to
         be written with, as ``tests/unit/test_token.py`` asserts.
         """
+        if self._received_signable is not None:
+            return self._received_signable
         encoder = CdrEncoder()
         encoder.write_ulong(self.sender_id)
         encoder.write_ulong(self.ring_id)
@@ -153,6 +166,8 @@ class Token:
             prev_token_digest=inner.read_octets(),
             signature=signature,
         )
+        expect_end(inner, "token body")
+        token._received_signable = signable
         return token
 
     # ------------------------------------------------------------------
@@ -249,7 +264,14 @@ class TokenCertificate:
 
     frame_type = FRAME_CERTIFICATE
 
-    __slots__ = ("signer_id", "ring_id", "first_visit", "digests", "signature")
+    __slots__ = (
+        "signer_id",
+        "ring_id",
+        "first_visit",
+        "digests",
+        "signature",
+        "_received_signable",
+    )
 
     def __init__(self, signer_id, ring_id, first_visit, digests, signature=0):
         self.signer_id = signer_id
@@ -258,6 +280,8 @@ class TokenCertificate:
         #: digest of the raw token frame of each visit, in visit order
         self.digests = list(digests)
         self.signature = signature
+        #: the signed bytes as received (decoded frames only)
+        self._received_signable = None
 
     @property
     def last_visit(self):
@@ -270,6 +294,10 @@ class TokenCertificate:
             yield first + offset, digest
 
     def signable_bytes(self):
+        """The signed fields; a decoded certificate returns the received
+        slice, exactly as :meth:`Token.signable_bytes` does."""
+        if self._received_signable is not None:
+            return self._received_signable
         encoder = CdrEncoder()
         encoder.write_ulong(self.signer_id)
         encoder.write_ulong(self.ring_id)
@@ -291,13 +319,16 @@ class TokenCertificate:
         signable = decoder.read_octets()
         signature = _octets_to_int(decoder.read_octets())
         inner = CdrDecoder(signable)
-        return cls(
+        cert = cls(
             signer_id=inner.read_ulong(),
             ring_id=inner.read_ulong(),
             first_visit=inner.read_ulonglong(),
             digests=[inner.read_octets() for _ in range(inner.read_ulong())],
             signature=signature,
         )
+        expect_end(inner, "certificate body")
+        cert._received_signable = signable
+        return cert
 
     def well_formed(self, ring_members):
         """Structural validity: signer is a member, span sane and bounded."""

@@ -28,6 +28,12 @@ produce byte-identical output.  :mod:`repro.perf` can swap in the
 pre-optimisation method suite (``baseline`` mode) so the perf bench can
 measure the fast paths against their original implementations on the
 same host.
+
+Decoding is canonical in both suites: the readers reject non-zero
+alignment padding and boolean octets other than 0 and 1, so every
+value a decoder accepts re-encodes to exactly the bytes it was read
+from.  Receivers that compare raw frames (the multicast token history)
+rely on this.
 """
 
 import struct
@@ -140,7 +146,10 @@ class CdrDecoder:
     def _align(self, size):
         remainder = self._pos % size
         if remainder:
-            self._pos += size - remainder
+            end = self._pos + size - remainder
+            if any(self._data[self._pos : end]):
+                raise MarshalError("non-zero CDR alignment padding")
+            self._pos = end
 
     def read(self, tag):
         """Unmarshal one value described by type ``tag``."""
@@ -217,21 +226,40 @@ def _make_fast_writer(tag):
 def _make_fast_reader(tag):
     unpacker, size = _STRUCTS[tag]
     unpack_from = unpacker.unpack_from
+    fmt = _PRIMITIVES[tag][0]
+    #: padding octets -> one unpack of (padding, value): the padding is
+    #: read to be checked, at one struct call per value
+    padded_unpack = {
+        pad: struct.Struct("<%ds%s" % (pad, fmt[1:])).unpack_from
+        for pad in range(1, size)
+    }
     boolean = tag == "boolean"
 
     def reader(self):
         pos = self._pos
+        data = self._data
         remainder = pos % size
         if remainder:
-            pos += size - remainder
-        end = pos + size
-        data = self._data
-        if end > len(data):
-            raise MarshalError("truncated CDR data reading %s" % tag)
-        (value,) = unpack_from(data, pos)
+            pad = size - remainder
+            end = pos + pad + size
+            if end > len(data):
+                raise MarshalError("truncated CDR data reading %s" % tag)
+            padding, value = padded_unpack[pad](data, pos)
+            if padding != _PADDING[pad]:
+                # A decoder that skipped padding unchecked would accept
+                # two byte strings for one value: decoding must be
+                # canonical.
+                raise MarshalError("non-zero CDR alignment padding")
+        else:
+            end = pos + size
+            if end > len(data):
+                raise MarshalError("truncated CDR data reading %s" % tag)
+            (value,) = unpack_from(data, pos)
         self._pos = end
         if boolean:
-            return bool(value)
+            if value > 1:
+                raise MarshalError("CDR boolean octet %d is neither 0 nor 1" % value)
+            return value == 1
         return value
 
     reader.__name__ = "read_" + tag
@@ -328,6 +356,8 @@ def _legacy_read_primitive(self, tag):
     (value,) = struct.unpack_from(fmt, self._data, self._pos)
     self._pos = end
     if tag == "boolean":
+        if value > 1:
+            raise MarshalError("CDR boolean octet %d is neither 0 nor 1" % value)
         return bool(value)
     return value
 

@@ -1,5 +1,7 @@
-"""Shared test harness: builds complete simulated multicast worlds."""
+"""Shared test harness: builds complete simulated multicast worlds, and
+stands in for a broken libcrypto in the OpenSSL backends' tests."""
 
+import ctypes
 import random
 
 from repro.crypto.costmodel import CryptoCostModel
@@ -107,3 +109,42 @@ class MulticastWorld:
 
     def delivered_payloads(self, proc_id):
         return [payload for _, _, _, payload in self.delivered[proc_id]]
+
+
+# ----------------------------------------------------------------------
+# libcrypto stand-ins (tests/unit/test_md4.py, tests/unit/test_rsa.py)
+# ----------------------------------------------------------------------
+
+
+class PatchedLib:
+    """The real libcrypto handle with chosen symbols replaced or removed.
+
+    Replacements are plain functions: like ctypes foreign functions,
+    they accept ``argtypes``/``restype`` attributes.
+    """
+
+    def __init__(self, real, replace=(), remove=()):
+        self._real = real
+        self._remove = set(remove)
+        for name, fn in dict(replace).items():
+            setattr(self, name, fn)
+
+    def __getattr__(self, name):
+        if name in self._remove:
+            raise AttributeError(name)
+        return getattr(self._real, name)
+
+
+def raise_oserror(*args, **kwargs):
+    """A ``ctypes.CDLL`` stand-in for a library that cannot be opened."""
+    raise OSError("cannot open shared object file")
+
+
+def patched_cdll(**patch):
+    """A ``ctypes.CDLL`` stand-in returning :class:`PatchedLib` handles."""
+    real_cdll = ctypes.CDLL
+
+    def cdll(path, *args, **kwargs):
+        return PatchedLib(real_cdll(path, *args, **kwargs), **patch)
+
+    return cdll

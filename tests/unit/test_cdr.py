@@ -346,3 +346,48 @@ def test_direct_methods_match_generic_write():
         assert getattr(CdrDecoder(direct.getvalue()), "read_" + tag)() == (
             CdrDecoder(generic.getvalue()).read(tag)
         )
+
+
+# --- canonical decoding -------------------------------------------------
+
+
+@pytest.mark.parametrize("optimized", [True, False])
+@pytest.mark.parametrize("tag", ["short", "ulong", "ulonglong", "double"])
+def test_nonzero_alignment_padding_is_rejected(optimized, tag):
+    encoder = CdrEncoder()
+    encoder.write_octet(7)
+    getattr(encoder, "write_" + tag)(PRIMITIVE_SAMPLES[tag])
+    data = encoder.getvalue()
+    with perf.mode(optimized):
+        decoder = CdrDecoder(data)
+        decoder.read_octet()
+        assert getattr(decoder, "read_" + tag)() == PRIMITIVE_SAMPLES[tag]
+        flipped = bytearray(data)
+        flipped[1] ^= 0x40  # the first padding octet
+        decoder = CdrDecoder(bytes(flipped))
+        decoder.read_octet()
+        with pytest.raises(MarshalError, match="padding"):
+            getattr(decoder, "read_" + tag)()
+        with pytest.raises(MarshalError, match="padding"):
+            CdrDecoder(bytes(flipped)).read(("struct", (("a", "octet"), ("b", tag))))
+
+
+@pytest.mark.parametrize("optimized", [True, False])
+def test_truncated_padding_still_reports_truncation(optimized):
+    with perf.mode(optimized):
+        decoder = CdrDecoder(b"\x01\x00")
+        decoder.read_octet()
+        with pytest.raises(MarshalError, match="truncated"):
+            decoder.read_ulong()
+
+
+@pytest.mark.parametrize("optimized", [True, False])
+def test_boolean_octet_must_be_zero_or_one(optimized):
+    with perf.mode(optimized):
+        assert CdrDecoder(b"\x00").read_boolean() is False
+        assert CdrDecoder(b"\x01").read("boolean") is True
+        for octet in (2, 0x80, 0xFF):
+            with pytest.raises(MarshalError, match="boolean"):
+                CdrDecoder(bytes([octet])).read_boolean()
+            with pytest.raises(MarshalError, match="boolean"):
+                CdrDecoder(bytes([octet])).read("boolean")

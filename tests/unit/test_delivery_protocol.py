@@ -15,7 +15,7 @@ from repro.crypto.keystore import KeyStore
 from repro.multicast.config import MulticastConfig, SecurityLevel
 from repro.multicast.delivery import DeliveryProtocol
 from repro.multicast.detector import ByzantineFaultDetector
-from repro.multicast.messages import RegularMessage, decode_frame
+from repro.multicast.messages import MulticastCodecError, RegularMessage, decode_frame
 from repro.multicast.token import Token
 from repro.sim.network import Network, NetworkParams
 from repro.sim.process import Processor
@@ -221,6 +221,28 @@ def test_retransmitted_identical_token_is_benign():
     token, raw = h.feed_token(1, visit=1, seq=0)
     h.protocol.on_token(token, raw)  # exact retransmission
     assert h.detector.suspects() == set()
+
+
+def test_padding_flipped_in_transit_does_not_convict_the_holder():
+    # Byte 1 is alignment padding after the frame-type octet: flipping
+    # it leaves every field (and so the signature) intact.  A decoder
+    # that skipped padding unchecked would give the receiver two validly
+    # signed tokens with different bytes for one visit, and it would
+    # convict the honest holder of a mutant token.
+    h = Harness(security=SecurityLevel.SIGNATURES)
+    _, raw = h.token(1, visit=1, seq=0)
+    flipped = bytearray(raw)
+    flipped[1] ^= 0x01
+    for copy in (raw, bytes(flipped)):
+        try:
+            frame = decode_frame(copy)
+        except MulticastCodecError:
+            continue  # dropped like any corrupted frame
+        h.protocol.on_token(frame, copy)
+    assert h.protocol._last_accepted.visit == 1
+    assert h.detector.suspects() == set()
+    with pytest.raises(MulticastCodecError, match="padding"):
+        decode_frame(bytes(flipped))
 
 
 def test_historical_token_absorbed_without_moving_chain_head():

@@ -9,6 +9,7 @@ import pytest
 from repro import perf
 from repro.crypto import md4
 from repro.crypto.md4 import md4_digest, md4_hexdigest
+from tests.support import patched_cdll, raise_oserror
 
 RFC1320_VECTORS = [
     (b"", "31d6cfe0d16ae931b73c59d7e0c089c0"),
@@ -128,54 +129,22 @@ def test_md4_digest_bytes_and_bytearray_match_reference(fresh_backend):
 # --- Loader failures fall back to the unrolled Python block --------------
 
 
-class _Lib:
-    """The real libcrypto handle with chosen symbols replaced or removed.
-
-    Replacements are plain functions: like ctypes foreign functions,
-    they accept ``argtypes``/``restype`` attributes.
-    """
-
-    def __init__(self, real, replace=(), remove=()):
-        self._real = real
-        self._remove = set(remove)
-        for name, fn in dict(replace).items():
-            setattr(self, name, fn)
-
-    def __getattr__(self, name):
-        if name in self._remove:
-            raise AttributeError(name)
-        return getattr(self._real, name)
-
-
-def _raise_oserror(*args, **kwargs):
-    raise OSError("cannot open shared object file")
-
-
-def _patched_cdll(**patch):
-    real_cdll = ctypes.CDLL
-
-    def cdll(path, *args, **kwargs):
-        return _Lib(real_cdll(path, *args, **kwargs), **patch)
-
-    return cdll
-
-
 LOADER_FAILURES = {
-    "cdll-oserror": _raise_oserror,
-    "missing-symbol": _patched_cdll(remove=["OSSL_LIB_CTX_new"]),
-    "context-null": _patched_cdll(replace={"OSSL_LIB_CTX_new": lambda: None}),
-    "provider-null": _patched_cdll(
+    "cdll-oserror": raise_oserror,
+    "missing-symbol": patched_cdll(remove=["OSSL_LIB_CTX_new"]),
+    "context-null": patched_cdll(replace={"OSSL_LIB_CTX_new": lambda: None}),
+    "provider-null": patched_cdll(
         replace={"OSSL_PROVIDER_load": lambda ctx, name: None}
     ),
-    "fetch-null": _patched_cdll(
+    "fetch-null": patched_cdll(
         replace={"EVP_MD_fetch": lambda ctx, alg, props: None}
     ),
     # Reports success without writing the digest: the self-check sees
     # sixteen zero bytes.
-    "self-check-mismatch": _patched_cdll(
+    "self-check-mismatch": patched_cdll(
         replace={"EVP_Digest": lambda *args: 1}
     ),
-    "digest-error": _patched_cdll(
+    "digest-error": patched_cdll(
         replace={"EVP_Digest": lambda *args: 0}
     ),
 }

@@ -3,12 +3,17 @@
 import pytest
 
 from repro.multicast.messages import (
+    FRAME_CERTIFICATE,
+    FRAME_PROPOSAL,
+    FRAME_TOKEN,
     MembershipCommit,
     MembershipProposal,
     MulticastCodecError,
     RegularMessage,
     decode_frame,
 )
+from repro.multicast.token import Token, TokenCertificate
+from repro.orb.cdr import CdrEncoder
 
 
 def test_regular_message_roundtrip():
@@ -116,3 +121,89 @@ def test_regular_message_encode_identical_across_modes():
     with perf.mode(False):
         baseline = msg.encode()
     assert fast == baseline
+
+
+# --- canonical decoding: one byte string per frame ------------------------
+
+
+def _token_frame():
+    return Token(
+        sender_id=1, ring_id=2, visit=3, seq=4, aru=4, successor=2,
+        message_digest_list=[(4, b"d" * 16)], prev_token_digest=b"p" * 16,
+        signature=0xABCDEF,
+    ).encode()
+
+
+def test_trailing_bytes_after_a_frame_are_rejected():
+    frames = [
+        RegularMessage(1, 1, 7, "group", b"hello").encode(),
+        _token_frame(),
+        MembershipProposal(1, 5, 2, [0, 1], 9, []).encode(),
+        MembershipCommit(0, 5, 2, [MembershipProposal(0, 5, 2, [0], 9, []).encode()]).encode(),
+    ]
+    for raw in frames:
+        decode_frame(raw)
+        with pytest.raises(MulticastCodecError, match="trailing"):
+            decode_frame(raw + b"\x00")
+
+
+def _rewrap(frame_type, signable, signature=b"\x05"):
+    """A signed frame around a hand-built signable body."""
+    encoder = CdrEncoder()
+    encoder.write_octet(frame_type)
+    encoder.write_octets(signable)
+    encoder.write_octets(signature)
+    return encoder.getvalue()
+
+
+def test_trailing_bytes_inside_signed_bodies_are_rejected():
+    token = decode_frame(_token_frame())
+    cert = TokenCertificate(1, 2, 3, [b"x" * 16])
+    proposal = MembershipProposal(1, 5, 2, [0, 1], 9, [])
+    for frame_type, body in (
+        (FRAME_TOKEN, token.signable_bytes()),
+        (FRAME_CERTIFICATE, cert.signable_bytes()),
+        (FRAME_PROPOSAL, proposal.signable_bytes()),
+    ):
+        decode_frame(_rewrap(frame_type, body))
+        with pytest.raises(MulticastCodecError, match="trailing"):
+            decode_frame(_rewrap(frame_type, body + b"\x00" * 4))
+
+
+@pytest.mark.parametrize("signature", [b"", b"\x00\x05", b"\x00\x00"])
+def test_non_minimal_signature_octets_are_rejected(signature):
+    body = MembershipProposal(1, 5, 2, [0, 1], 9, []).signable_bytes()
+    assert decode_frame(_rewrap(FRAME_PROPOSAL, body, b"\x00")).signature == 0
+    with pytest.raises(MulticastCodecError, match="non-minimal"):
+        decode_frame(_rewrap(FRAME_PROPOSAL, body, signature))
+
+
+def test_unsorted_proposal_sets_are_rejected():
+    # The constructor sorts both sets, so an unsorted wire list would
+    # decode to a proposal that re-encodes to different bytes.
+    def body(candidates, suspects):
+        encoder = CdrEncoder()
+        for value in (1, 5, 2):
+            encoder.write_ulong(value)
+        encoder.write(("sequence", "ulong"), candidates)
+        encoder.write_ulonglong(9)
+        encoder.write(("sequence", "ulong"), suspects)
+        encoder.write_boolean(False)
+        return encoder.getvalue()
+
+    decode_frame(_rewrap(FRAME_PROPOSAL, body([0, 1], [3, 4])))
+    for candidates, suspects in (([1, 0], [3, 4]), ([0, 1], [4, 3])):
+        with pytest.raises(MulticastCodecError, match="order"):
+            decode_frame(_rewrap(FRAME_PROPOSAL, body(candidates, suspects)))
+
+
+def test_malformed_proposal_in_commit_raises_codec_error():
+    # A corrupted bundle must surface as MulticastCodecError (which the
+    # membership engine handles), never as a bare MarshalError.
+    good = MembershipProposal(0, 5, 2, [0, 1], 9, []).encode()
+    truncated = good[:-3]
+    padded = good + b"\x00"
+    for bad in (truncated, padded, b""):
+        commit = decode_frame(MembershipCommit(0, 5, 2, [good, bad]).encode())
+        with pytest.raises(MulticastCodecError):
+            commit.proposals()

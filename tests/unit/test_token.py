@@ -130,3 +130,22 @@ def test_signable_bytes_match_generic_sequence_tags():
     )
     generic.write("octets", token.prev_token_digest)
     assert token.signable_bytes() == generic.getvalue()
+
+
+def test_decoded_token_signs_over_the_received_slice():
+    raw = make_token().encode()
+    decoded = decode_frame(raw)
+    signable = decoded.signable_bytes()
+    # frame type octet, padding, then the length-prefixed signable body
+    assert raw[8 : 8 + len(signable)] == signable
+    assert int.from_bytes(raw[4:8], "little") == len(signable)
+    assert decoded.signable_bytes() is signable  # kept, not re-encoded
+    assert signable == make_token().signable_bytes()
+
+
+def test_constructed_token_re_encodes_after_mutation():
+    token = make_token()
+    before = token.signable_bytes()
+    token.seq += 1
+    assert token.signable_bytes() != before
+    assert token.signable_bytes() == make_token(seq=121).signable_bytes()

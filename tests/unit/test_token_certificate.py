@@ -119,3 +119,12 @@ def test_batch_sign_cost_grows_sublinearly():
     assert batched > single
     assert batched < 2 * single
     assert cost_model.batch_verify_cost(32) < 2 * cost_model.batch_verify_cost(1)
+
+
+def test_decoded_certificate_signs_over_the_received_slice():
+    raw = make_cert(signature=99).encode()
+    decoded = decode_frame(raw)
+    signable = decoded.signable_bytes()
+    assert raw[8 : 8 + len(signable)] == signable
+    assert decoded.signable_bytes() is signable
+    assert signable == make_cert().signable_bytes()
