@@ -8,8 +8,8 @@ CPU-hungry configuration) in two modes on the same host:
   behind :mod:`repro.perf` (generic string-tag CDR dispatch, the
   table-driven reference MD4 block function, plain ``pow(m, d, n)``
   RSA signing, every memo cache off);
-* **optimized** — precompiled CDR codecs, OpenSSL's MD4 (the unrolled
-  Python block function where OpenSSL MD4 is unavailable), RSA signing
+* **optimized** — precompiled CDR codecs, OpenSSL's MD4 (the reference
+  block function where OpenSSL MD4 is unavailable), RSA signing
   by CRT with OpenSSL's half-width exponentiations (Python's ``pow``
   where OpenSSL is unavailable), shared fan-out decode, and
   digest/RSA-verify memoisation.

@@ -9,9 +9,10 @@ and shards object groups across them:
 * :mod:`repro.cluster.config` — ring layout and gateway sizing;
 * :mod:`repro.cluster.placement` — deterministic rendezvous-hash
   placement of groups onto rings and replica sets;
-* :mod:`repro.cluster.gateway` — voted, duplicate-suppressed cross-ring
-  re-origination that keeps exactly-once end-to-end even with one
-  Byzantine gateway replica;
+* :mod:`repro.cluster.gateway` — voted, duplicate-suppressed
+  re-origination between rings (and, with a WAN hop, between sites)
+  that keeps exactly-once end-to-end even with one Byzantine gateway
+  replica;
 * :mod:`repro.cluster.manager` — the :class:`ClusterManager` facade:
   per-ring :class:`~repro.core.immune.ImmuneSystem` instances on one
   shared scheduler behind a single bind/invoke API;

@@ -1,33 +1,39 @@
-"""Cross-ring invocation gateways: voted re-origination between rings.
+"""Voted relays: re-origination between rings and between sites.
 
 An invocation whose client group and server group live on different
-rings cannot ride one token — each ring is its own total order.  The
+rings cannot ride one token — each ring is its own total order.  A
 gateway closes the gap with the same machinery the paper uses inside a
-ring, so the cross-ring hop weakens none of the survivability claims:
+ring, so the hop weakens none of the survivability claims:
 
-* every ring pair is joined by ``gateway_degree`` *gateway replicas*,
-  each co-located on both rings (one processor identity per ring, run
-  as one logical entity — a gateway process with a NIC on each ring);
-* each gateway replica independently observes the source ring's total
-  order, **votes** the client replicas' invocation copies exactly as a
-  server-side Replication Manager would (majority of the source group's
-  degree, values compared by digest), and re-originates the single
-  winning message on the destination ring under its own processor
-  identity there;
-* the destination ring's Replication Managers then treat the gateway
-  replicas *as* the remote group's replicas: the foreign group is
-  registered with the gateway pids as its members, so the existing
-  voters take a majority across the gateway copies — one Byzantine
-  gateway replica that corrupts or replays traffic is outvoted by the
-  other two, and the value-fault machinery attributes it;
+* every pair of *sides* (two rings of a cluster, or two sites of a
+  federation) is joined by a link of gateway replicas, each with one
+  processor identity on each side, run as one logical entity;
+* each replica independently observes the source side's total order,
+  **votes** the copies of messages addressed to groups homed on the
+  destination side exactly as a server-side Replication Manager would
+  (majority of the source group's degree, values compared by digest),
+  and re-originates the single winning message on the destination side
+  under its own processor identity there;
+* the destination side registers the remote group with the gateway
+  pids as its members, so the existing voters take a majority across
+  the gateway copies — one Byzantine gateway replica that corrupts or
+  replays traffic is outvoted by the others, and the value-fault
+  machinery attributes it;
 * duplicate suppression reuses :class:`~repro.core.duplicates.
-  DuplicateFilter` semantics keyed by the operation identifier, so each
-  gateway replica forwards each operation at most once and end-to-end
-  delivery stays exactly-once.
+  DuplicateFilter` keyed by the operation identifier, so each replica
+  forwards each operation at most once and end-to-end delivery stays
+  exactly-once across any number of hops.
 
-Replies make the mirror-image hop: the server ring's gateway side votes
-the server replicas' response copies and re-originates the winner on
-the client's ring, where client-side output voting proceeds unchanged.
+Replies make the mirror-image hop.  One algorithm, :class:`VotedRelay`,
+serves both levels; only the *hop* differs.  :class:`RingHop` joins two
+rings of one cluster (two NICs on one chassis): the winner lands at
+once.  :class:`WanHop` joins two sites' backbones (ring 0) over the
+:class:`~repro.sim.network.WanTopology`: the winner pays the directed
+latency and serialisation time, and may be dropped by a partition
+window or a loss burst — both decided *at send time*, so traffic
+already in flight when a partition begins still lands.  Span stages are
+marked when a copy *lands*, so WAN stage deltas carry the flight and
+the critical path prices the ``wan_hop`` cause off the latency matrix.
 """
 
 from repro.core.duplicates import DuplicateFilter
@@ -40,70 +46,169 @@ from repro.core.identifiers import (
 )
 from repro.core.voting import VoteDecision, Voter
 
-#: simulated CPU cost of voting + re-originating one forwarded message
+#: simulated CPU cost of voting + re-originating one cross-ring message
 GATEWAY_FORWARD_COST = 25e-6
+#: simulated CPU cost of voting + re-originating one cross-site message
+WAN_FORWARD_COST = 40e-6
 
 
-def _corrupted(body):
-    """A Byzantine gateway's corruption: flip the final payload byte."""
+def _flip_last(body, index):
+    """A Byzantine ring gateway's corruption: flip the final byte."""
     if not body:
         return b"\xff"
     return body[:-1] + bytes([body[-1] ^ 0xFF])
 
 
-class _DirectionalForwarder:
-    """One gateway replica's forwarding path from one ring to its peer.
+def _flip_indexed(body, index):
+    """A Byzantine site gateway's corruption, distinct per replica.
 
-    Listens to every totally-ordered delivery on the source ring (via
+    Flipping a replica-index-dependent byte makes a *whole-site*
+    compromise fail safe: the compromised site's replicas disagree with
+    each other as well as with the truth, so the receiving voters never
+    assemble a majority and deliver nothing — omission, not a wrong
+    value.  (A single corrupt replica is simply outvoted 2-of-3.)
+    """
+    if not body:
+        return bytes([0x80 + (index & 0x7F)])
+    pos = index % len(body)
+    return body[:pos] + bytes([body[pos] ^ 0xFF]) + body[pos + 1:]
+
+
+class RingHop:
+    """The immediate hop between two rings of one cluster."""
+
+    side_name = "ring"
+    metric_prefix = "gateway"
+    metrics = (("forwarded", "forwarded"), ("suppressed", "duplicates_suppressed"))
+    stats_keys = ("forwarded", "suppressed", "ignored")
+    stages = ("gateway_forwarded", "reply_gateway_forwarded")
+    forensic = "gateway_forward"
+    cost = GATEWAY_FORWARD_COST
+    category = "gateway.forward"
+    corrupted = staticmethod(_flip_last)
+
+    def __init__(self, cluster):
+        self.cluster = cluster
+        #: the home lookup every delivery makes, bound once
+        self.home = cluster.directory.home_ring
+
+    def side(self, ring):
+        """(ImmuneSystem, obs view, tracer ring argument) of one ring."""
+        return self.cluster.rings[ring], self.cluster.ring_obs(ring), ring
+
+    def send(self, relay, message, encoded, corrupt):
+        relay.land(message, encoded, corrupt)
+
+
+class WanHop:
+    """The WAN flight between two sites' backbones, lossy and partitionable."""
+
+    side_name = "site"
+    metric_prefix = "wan"
+    metrics = (
+        ("forwarded", "forwarded"),
+        ("suppressed", "duplicates_suppressed"),
+        ("dropped", "dropped"),
+    )
+    stats_keys = ("forwarded", "suppressed", "dropped", "ignored")
+    stages = ("wan_forwarded", "reply_wan_forwarded")
+    forensic = "wan_forward"
+    cost = WAN_FORWARD_COST
+    category = "wan.forward"
+    corrupted = staticmethod(_flip_indexed)
+
+    def __init__(self, wan):
+        self.wan = wan
+        self.home = wan.directory.home_site
+
+    def side(self, site):
+        cluster = self.wan.sites[site]
+        return cluster.rings[0], cluster.ring_obs(0), cluster.ring_base
+
+    def send(self, relay, message, encoded, corrupt):
+        wan = self.wan
+        scheduler = wan.scheduler
+        now = scheduler.now
+        topology = wan.topology
+        # Loss and partitions are decided at send time: cutting a cable
+        # does not recall packets already in flight.
+        if topology.should_drop(relay.src, relay.dst, now, wan.wan_rng):
+            relay.count("dropped")
+            if relay.forensics is not None:
+                relay.forensics.record(
+                    "wan_drop",
+                    source=message.source_group,
+                    target=message.target_group,
+                    op_num=message.op_num,
+                    from_site=relay.src,
+                    to_site=relay.dst,
+                    partitioned=topology.partitioned(relay.src, relay.dst, now),
+                )
+            return
+        flight = topology.transit_time(relay.src, relay.dst, len(encoded))
+        scheduler.at(
+            now + flight,
+            lambda: relay.land(message, encoded, corrupt),
+            label="wan.deliver",
+        )
+
+
+class VotedRelay:
+    """One gateway replica's forwarding path from one side to its peer.
+
+    Listens to every totally-ordered delivery on the source side (via
     the source-side endpoint of its gateway replica), votes copies of
-    messages addressed to groups homed on the destination ring, and
-    re-originates each winner once on the destination ring.
+    messages addressed to groups homed on the destination side, and
+    re-originates each winner once there through the link's hop.
     """
 
-    def __init__(self, replica, src_ring, dst_ring, src_pid, dst_pid):
+    def __init__(self, replica, src, dst, src_pid, dst_pid):
         self.replica = replica
-        self.link = replica.link
-        self.src_ring = src_ring
-        self.dst_ring = dst_ring
+        hop = replica.link.hop
+        self.hop = hop
+        self.src = src
+        self.dst = dst
         self.src_pid = src_pid
         self.dst_pid = dst_pid
-        #: directed Byzantine toggle: corrupts this direction only (the
-        #: replica-wide ``corrupt`` flag covers both directions)
+        #: Byzantine toggle for this direction only
         self.corrupt = False
-        cluster = self.link.cluster
-        self._src_immune = cluster.rings[src_ring]
-        self._dst_immune = cluster.rings[dst_ring]
-        self._src_endpoint = self._src_immune.endpoints[src_pid]
-        self._dst_endpoint = self._dst_immune.endpoints[dst_pid]
-        self._src_proc = self._src_immune.processors[src_pid]
-        self._dst_proc = self._dst_immune.processors[dst_pid]
-        #: the source ring's group table (this pid's RM view): voting
+        self._home = hop.home
+        src_immune, obs, self._trace_src = hop.side(src)
+        dst_immune, _dst_obs, self._trace_dst = hop.side(dst)
+        self._src_endpoint = src_immune.endpoints[src_pid]
+        self._dst_endpoint = dst_immune.endpoints[dst_pid]
+        self._src_proc = src_immune.processors[src_pid]
+        self._dst_proc = dst_immune.processors[dst_pid]
+        #: the source side's group table (this pid's RM view): voting
         #: thresholds for the source group come from here
-        self._groups = self._src_immune.managers[src_pid].groups
-        self._digest_fn = self._src_immune.config.digest_fn()
+        self._groups = src_immune.managers[src_pid].groups
+        self._digest_fn = src_immune.config.digest_fn()
         self._voters = {}
         self.dup_filter = DuplicateFilter()
-        obs = cluster.ring_obs(src_ring)
         self._obs = obs
         self._spans = obs.spans if obs is not None else None
+        self._metrics = {}
         if obs is not None:
-            labels = {"proc": src_pid, "to_ring": dst_ring}
-            self._m_forwarded = obs.registry.counter("gateway.forwarded", **labels)
-            self._m_suppressed = obs.registry.counter(
-                "gateway.duplicates_suppressed", **labels
-            )
-        else:
-            self._m_forwarded = None
-            self._m_suppressed = None
+            labels = {"proc": src_pid, "to_" + hop.side_name: dst}
+            for key, name in hop.metrics:
+                self._metrics[key] = obs.registry.counter(
+                    hop.metric_prefix + "." + name, **labels
+                )
         if obs is not None and obs.forensics is not None:
-            self._forensics = obs.forensics.recorder(src_pid)
+            self.forensics = obs.forensics.recorder(src_pid)
         else:
-            self._forensics = None
-        # the causal trace, ring-scoped to the *source* ring: the vote
-        # this forwarder merges happens on the source ring's total order
+            self.forensics = None
+        # the causal trace, scoped to the *source* side: the vote this
+        # relay merges happens on the source side's total order
         self._tracer = getattr(obs, "trace", None) if obs is not None else None
-        self.stats = {"forwarded": 0, "suppressed": 0, "ignored": 0}
+        self.stats = dict.fromkeys(hop.stats_keys, 0)
         self._src_endpoint.on_deliver(self._on_deliver)
+
+    def count(self, key):
+        self.stats[key] += 1
+        metric = self._metrics.get(key)
+        if metric is not None:
+            metric.inc()
 
     # ------------------------------------------------------------------
     # the forwarding path
@@ -111,9 +216,8 @@ class _DirectionalForwarder:
 
     def _on_deliver(self, sender_id, seq, dest_group, payload):
         if dest_group == BASE_GROUP:
-            return  # membership/fault traffic never crosses rings
-        home = self.link.cluster.directory.home_ring(dest_group)
-        if home != self.dst_ring:
+            return  # membership/fault traffic never leaves its ring
+        if self._home(dest_group) != self.dst:
             return  # not ours: local traffic, or another link's peer
         try:
             message = ImmuneMessage.decode_shared(payload)
@@ -143,19 +247,18 @@ class _DirectionalForwarder:
         if not isinstance(outcome, VoteDecision):
             return  # copies still short of a majority, or a late fault
         if not self.dup_filter.mark_delivered(op_key):
-            self.stats["suppressed"] += 1
-            if self._m_suppressed is not None:
-                self._m_suppressed.inc()
+            self.count("suppressed")
             return
-        self._forward(message, outcome.body, op_key)
+        self._forward(message, outcome.body)
 
-    def _forward(self, message, body, op_key):
-        self._src_proc.charge(GATEWAY_FORWARD_COST, "gateway.forward")
-        corrupt = self.corrupt or self.replica.corrupt
+    def _forward(self, message, body):
+        hop = self.hop
+        self._src_proc.charge(hop.cost, hop.category)
+        # Decided once, here: the copy's bytes and its forensic record
+        # agree even if the relay turns Byzantine while it is in flight.
+        corrupt = self.corrupt
         if corrupt:
-            # The Byzantine gateway drill: this replica forwards a
-            # corrupted copy, which the destination ring outvotes.
-            body = _corrupted(body)
+            body = hop.corrupted(body, self.replica.index)
         wrapped = ImmuneMessage(
             message.kind,
             message.source_group,
@@ -164,40 +267,43 @@ class _DirectionalForwarder:
             message.target_group,
             body,
         )
-        self.stats["forwarded"] += 1
-        if self._m_forwarded is not None:
-            self._m_forwarded.inc()
+        hop.send(self, message, wrapped.encode(), corrupt)
+
+    def land(self, message, encoded, corrupt):
+        """The winner reaches the destination side and is re-originated."""
+        if self._dst_proc.crashed or self._dst_endpoint.halted:
+            return
+        self.count("forwarded")
         if message.kind == KIND_INVOCATION:
             trace_key, phase = (message.source_group, message.op_num), "req"
-            stage = "gateway_forwarded"
+            stage = self.hop.stages[0]
         else:
             trace_key, phase = (message.target_group, message.op_num), "rep"
-            stage = "reply_gateway_forwarded"
+            stage = self.hop.stages[1]
         if self._spans is not None:
             self._spans.mark(trace_key, stage)
-        encoded = wrapped.encode()
         if self._tracer is not None:
             self._tracer.mark_stage(trace_key, stage)
             # The fork: each gateway replica hangs its own gw_forward
-            # node off the source ring's vote_decided node, and its
-            # re-originated bytes register so the destination ring's
+            # node off the source side's vote_decided node, and its
+            # re-originated bytes register so the destination side's
             # copy/vote nodes merge the branches back together.
             self._tracer.gateway_forwarded(
                 trace_key, phase, self.dst_pid,
-                self.src_ring, self.dst_ring, corrupt,
+                self._trace_src, self._trace_dst, corrupt,
             )
             self._tracer.register_payload(
                 encoded, trace_key, phase, ("gw_forward", phase, self.dst_pid)
             )
-        if self._forensics is not None:
-            self._forensics.record(
-                "gateway_forward",
+        if self.forensics is not None:
+            side = self.hop.side_name
+            self.forensics.record(
+                self.hop.forensic,
                 kind="invocation" if message.kind == KIND_INVOCATION else "response",
                 source=message.source_group,
                 target=message.target_group,
                 op_num=message.op_num,
-                from_ring=self.src_ring,
-                to_ring=self.dst_ring,
+                **{"from_" + side: self.src, "to_" + side: self.dst},
                 via=(self.src_pid, self.dst_pid),
                 corrupt=corrupt,
             )
@@ -205,33 +311,16 @@ class _DirectionalForwarder:
 
 
 class GatewayReplica:
-    """One logical gateway entity of a link: a pid on each ring, with a
-    forwarder in each direction and a shared Byzantine toggle."""
+    """One logical gateway entity of a link: a pid on each side and a
+    relay in each direction."""
 
     def __init__(self, link, index, pid_a, pid_b):
         self.link = link
         self.index = index
         self.pid_a = pid_a
         self.pid_b = pid_b
-        #: when true this replica corrupts everything it forwards — the
-        #: fault the destination rings' majority voting must mask
-        self.corrupt = False
-        self.forward_ab = _DirectionalForwarder(
-            self, link.ring_a, link.ring_b, pid_a, pid_b
-        )
-        self.forward_ba = _DirectionalForwarder(
-            self, link.ring_b, link.ring_a, pid_b, pid_a
-        )
-
-    def corrupt_direction(self, src_ring):
-        """Corrupt only the direction whose *source* is ``src_ring``;
-        returns the destination-facing pid (the one the destination
-        ring's divergence detector can convict)."""
-        forwarder = (
-            self.forward_ab if src_ring == self.link.ring_a else self.forward_ba
-        )
-        forwarder.corrupt = True
-        return forwarder.dst_pid
+        self.forward_ab = VotedRelay(self, link.side_a, link.side_b, pid_a, pid_b)
+        self.forward_ba = VotedRelay(self, link.side_b, link.side_a, pid_b, pid_a)
 
     def stats(self):
         return {
@@ -240,54 +329,106 @@ class GatewayReplica:
         }
 
     def __repr__(self):
-        return "GatewayReplica(link %d<->%d, P%d/P%d%s)" % (
-            self.link.ring_a,
-            self.link.ring_b,
+        corrupt = self.forward_ab.corrupt or self.forward_ba.corrupt
+        return "GatewayReplica(%s<->%s, P%d/P%d%s)" % (
+            self.link.side_a,
+            self.link.side_b,
             self.pid_a,
             self.pid_b,
-            ", CORRUPT" if self.corrupt else "",
+            ", CORRUPT" if corrupt else "",
         )
 
 
 class GatewayLink:
-    """All gateway replicas joining one pair of rings."""
+    """All gateway replicas joining one pair of sides over one hop."""
 
-    def __init__(self, cluster, ring_a, ring_b, pairs):
-        self.cluster = cluster
-        self.ring_a = ring_a
-        self.ring_b = ring_b
+    def __init__(self, hop, side_a, side_b, pairs):
+        self.hop = hop
+        self.side_a = side_a
+        self.side_b = side_b
         self.replicas = [
             GatewayReplica(self, i, pid_a, pid_b)
             for i, (pid_a, pid_b) in enumerate(pairs)
         ]
 
-    def corrupt_replica(self, index):
-        """Turn one gateway replica Byzantine; returns it for restore."""
-        replica = self.replicas[index]
-        replica.corrupt = True
-        return replica
+    def _check_side(self, side):
+        if side not in (self.side_a, self.side_b):
+            raise ValueError(
+                "%r is not a %s of link %s<->%s"
+                % (side, self.hop.side_name, self.side_a, self.side_b)
+            )
 
-    def side_pids(self, ring_index):
-        """This link's gateway pids on one of its two rings — the pids
-        foreign groups are registered under on that ring."""
-        if ring_index == self.ring_a:
+    def side_pids(self, side):
+        """This link's gateway pids on one of its two sides — the pids
+        remote groups are registered under there."""
+        self._check_side(side)
+        if side == self.side_a:
             return tuple(r.pid_a for r in self.replicas)
-        if ring_index == self.ring_b:
-            return tuple(r.pid_b for r in self.replicas)
-        raise ValueError(
-            "ring %d is not part of link %d<->%d"
-            % (ring_index, self.ring_a, self.ring_b)
+        return tuple(r.pid_b for r in self.replicas)
+
+    def relays_from(self, side):
+        """The relays carrying traffic *out of* one of the sides."""
+        self._check_side(side)
+        if side == self.side_a:
+            return [r.forward_ab for r in self.replicas]
+        return [r.forward_ba for r in self.replicas]
+
+    def corruption(self, index, direction=None):
+        """The relays to arm and the culprit pids for turning replica
+        ``index`` Byzantine.
+
+        With ``direction`` (a side) only the relay leaving that side
+        corrupts, and the culprit is its destination-facing pid — the
+        one the destination's divergence detector can convict.  Without
+        it both relays corrupt and both pids are culprits.  Raises
+        :class:`ValueError` when ``direction`` is not a side.
+        """
+        replica = self.replicas[index]
+        if direction is None:
+            return [replica.forward_ab, replica.forward_ba], (replica.pid_a, replica.pid_b)
+        relay = self.relays_from(direction)[index]
+        return [relay], (relay.dst_pid,)
+
+    def forwarded(self):
+        """Copies landed by every relay of this link, both directions."""
+        return sum(
+            r.forward_ab.stats["forwarded"] + r.forward_ba.stats["forwarded"]
+            for r in self.replicas
         )
 
     def stats(self):
         return {
-            "rings": [self.ring_a, self.ring_b],
+            self.hop.side_name + "s": [self.side_a, self.side_b],
             "replicas": [r.stats() for r in self.replicas],
         }
 
     def __repr__(self):
-        return "GatewayLink(%d<->%d, %d replicas)" % (
-            self.ring_a,
-            self.ring_b,
+        return "GatewayLink(%s<->%s, %d replicas)" % (
+            self.side_a,
+            self.side_b,
             len(self.replicas),
         )
+
+
+def inject_corruption(scheduler, obs, relays, culprits, at_time, label,
+                      kind="value_fault"):
+    """Turn ``relays`` Byzantine, now or at ``at_time`` (a scheduler
+    event named ``label``), and record ``kind`` ground truth against
+    each culprit pid."""
+
+    def arm():
+        for relay in relays:
+            relay.corrupt = True
+
+    if at_time is None:
+        arm()
+    else:
+        scheduler.at(at_time, arm, label=label)
+    if obs is not None and obs.forensics is not None:
+        from repro.obs.forensics import fault_id_for
+
+        when = at_time if at_time is not None else scheduler.now
+        for pid in culprits:
+            obs.forensics.record_ground_truth(
+                fault_id_for(kind, pid, when), kind, pid, when
+            )

@@ -25,7 +25,7 @@ voted, duplicate-suppressed, exactly-once semantics as intra-ring ones.
 import random
 
 from repro.cluster.config import ClusterConfig, ClusterConfigError
-from repro.cluster.gateway import GatewayLink
+from repro.cluster.gateway import GatewayLink, RingHop, inject_corruption
 from repro.cluster.obsbridge import RingObservability
 from repro.cluster.placement import PlacementEngine
 from repro.core.immune import ImmuneSystem
@@ -196,12 +196,10 @@ class ClusterManager:
 
         #: (low ring, high ring) -> GatewayLink, every ring pair joined
         self.links = {}
+        self._hop = RingHop(self)
         for a in range(self.config.num_rings):
             for b in range(a + 1, self.config.num_rings):
-                pairs = list(
-                    zip(self.config.gateway_pids(a), self.config.gateway_pids(b))
-                )
-                self.links[(a, b)] = GatewayLink(self, a, b, pairs)
+                self._add_link(a, b)
 
         self._started = False
         if obs is not None:
@@ -224,13 +222,9 @@ class ClusterManager:
         registry.gauge("cluster.groups", **site).set(len(self.directory.groups()))
         registry.gauge("cluster.gateway_links", **site).set(len(self.links))
         for (a, b), link in sorted(self.links.items()):
-            forwarded = sum(
-                r.forward_ab.stats["forwarded"] + r.forward_ba.stats["forwarded"]
-                for r in link.replicas
-            )
             registry.gauge(
                 "cluster.link_forwarded", link="%d-%d" % (a, b), **site
-            ).set(forwarded)
+            ).set(link.forwarded())
 
     # ------------------------------------------------------------------
     # deployment: one API over all rings
@@ -288,16 +282,33 @@ class ClusterManager:
         self.directory.record(group_name, ring, procs)
         self._register_foreign(group_name, ring)
 
-    def _register_foreign(self, group_name, home_ring):
-        """Register ``group_name`` on every ring other than its home,
-        with the local gateway pids toward the home ring as members."""
-        for other in range(self.config.num_rings):
+    def _register_foreign(self, group_name, home_ring, rings=None):
+        """Register ``group_name`` on every ring other than its home
+        (or on ``rings`` only), with the local gateway pids toward the
+        home ring as members."""
+        if rings is None:
+            rings = range(self.config.num_rings)
+        for other in rings:
             if other == home_ring:
                 continue
-            link = self.links[(min(home_ring, other), max(home_ring, other))]
-            gateway_members = link.side_pids(other)
+            members = self.gateway_members(home_ring, other)
             for manager in self.rings[other].managers.values():
-                manager.register_group(group_name, gateway_members)
+                manager.register_group(group_name, members)
+
+    def link(self, ring_a, ring_b):
+        """The gateway link joining two rings, in either order."""
+        return self.links[(min(ring_a, ring_b), max(ring_a, ring_b))]
+
+    def gateway_members(self, home_ring, ring_index):
+        """The pids that stand for a group homed on ``home_ring`` on
+        another ring: that ring's gateways on the link toward the home."""
+        return self.link(home_ring, ring_index).side_pids(ring_index)
+
+    def _add_link(self, ring_a, ring_b):
+        pairs = list(
+            zip(self.config.gateway_pids(ring_a), self.config.gateway_pids(ring_b))
+        )
+        self.links[(ring_a, ring_b)] = GatewayLink(self._hop, ring_a, ring_b, pairs)
 
     def register_remote_group(self, group_name, backbone_members):
         """Adopt a group that really lives on *another site*.
@@ -378,24 +389,14 @@ class ClusterManager:
         self._ring_obs.append(ring_obs)
         self.processors.update(immune.processors)
         for other in range(ring_index):
-            pairs = list(
-                zip(
-                    self.config.gateway_pids(other),
-                    self.config.gateway_pids(ring_index),
-                )
-            )
-            self.links[(other, ring_index)] = GatewayLink(
-                self, other, ring_index, pairs
-            )
+            self._add_link(other, ring_index)
         # Every group bound so far becomes foreign on the new ring: its
         # members there are the new ring's gateway pids toward the home
         # ring, so voters mask a Byzantine gateway from day one.
         for group_name in self.directory.groups():
-            home = self.directory.home_ring(group_name)
-            link = self.links[(min(home, ring_index), max(home, ring_index))]
-            members = link.side_pids(ring_index)
-            for manager in immune.managers.values():
-                manager.register_group(group_name, members)
+            self._register_foreign(
+                group_name, self.directory.home_ring(group_name), (ring_index,)
+            )
         self.placement.add_ring(ring_index)
         if self._started:
             immune.start()
@@ -422,34 +423,15 @@ class ClusterManager:
         directed), under the ``value_fault`` kind the scorecard
         attributes.
         """
-        link = self.links[(min(ring_a, ring_b), max(ring_a, ring_b))]
-        replica = link.replicas[index]
-        if direction is None:
-            arm = lambda: setattr(replica, "corrupt", True)
-            culprits = (replica.pid_a, replica.pid_b)
-        else:
-            if direction not in (link.ring_a, link.ring_b):
-                raise ClusterConfigError(
-                    "direction %r is not a ring of link %d-%d"
-                    % (direction, link.ring_a, link.ring_b)
-                )
-            arm = lambda: replica.corrupt_direction(direction)
-            culprits = (
-                replica.pid_b if direction == link.ring_a else replica.pid_a,
-            )
-        if at_time is None:
-            arm()
-        else:
-            self.scheduler.at(at_time, arm, label="gateway.corrupt")
-        if self.obs is not None and self.obs.forensics is not None:
-            from repro.obs.forensics import fault_id_for
-
-            when = at_time if at_time is not None else self.scheduler.now
-            for pid in culprits:
-                self.obs.forensics.record_ground_truth(
-                    fault_id_for("value_fault", pid, when), "value_fault", pid, when
-                )
-        return replica
+        link = self.link(ring_a, ring_b)
+        try:
+            relays, culprits = link.corruption(index, direction)
+        except ValueError as exc:
+            raise ClusterConfigError("direction %s" % exc) from None
+        inject_corruption(
+            self.scheduler, self.obs, relays, culprits, at_time, "gateway.corrupt"
+        )
+        return link.replicas[index]
 
     # ------------------------------------------------------------------
     # lifecycle

@@ -12,7 +12,7 @@ because reproducing the paper's system faithfully requires the same
 depends on MD4 specifically — :class:`repro.crypto.keystore.KeyStore`
 takes the digest function as a parameter.
 
-Three implementations exist, all reached through :func:`md4_digest`:
+Two implementations exist, both reached through :func:`md4_digest`:
 
 * the **OpenSSL** backend (the optimised path): OpenSSL's MD4, called
   through :mod:`ctypes` from the ``libcrypto`` the interpreter already
@@ -23,16 +23,15 @@ Three implementations exist, all reached through :func:`md4_digest`:
   context, and so :mod:`hashlib`, is untouched.  It is built once per
   process, at the first digest, and used only after it reproduces two
   RFC 1320 vectors;
-* :func:`_process_block`, which unpacks all sixteen words with one
-  precompiled :class:`struct.Struct` call and fully unrolls the three
-  rounds: the optimised path wherever the OpenSSL backend cannot be
-  built (no OpenSSL 3, no legacy provider, a failed self-check);
-* :func:`_process_block_reference`, the table-driven RFC transcription:
-  :mod:`repro.perf` baseline mode selects it, so the byte-compares
-  across perf modes check OpenSSL against the RFC end to end.
+* :func:`_python_md4` over :func:`_process_block_reference`, the
+  table-driven RFC transcription: the fallback wherever the OpenSSL
+  backend cannot be built (no OpenSSL 3, no legacy provider, a failed
+  self-check), and the :mod:`repro.perf` baseline-mode path, so the
+  byte-compares across perf modes check OpenSSL against the RFC end to
+  end.
 
-:func:`backend` names the implementation in use.  The tests assert all
-three equal over the RFC vectors and every input length up to 300
+:func:`backend` names the implementation in use.  The tests assert
+both equal over the RFC vectors and every input length up to 300
 bytes.
 """
 
@@ -86,7 +85,7 @@ def _pad(message):
 
 
 def _process_block_reference(state, block):
-    """Table-driven transcription of RFC 1320 (the baseline-mode path)."""
+    """Table-driven transcription of RFC 1320 (one 64-byte block)."""
     x = _BLOCK_WORDS.unpack(block)
     a, b, c, d = state
 
@@ -119,90 +118,12 @@ def _process_block_reference(state, block):
     )
 
 
-def _process_block(state, block):
-    """Fully unrolled compression: one unpack call, 48 inline steps.
-
-    F is computed as ``z ^ (x & (y ^ z))`` and G as
-    ``(x & (y | z)) | (y & z)`` — boolean-identical to the RFC forms
-    but one operation shorter.  Rotations inline the ``(v << s | v >>
-    32-s) & mask`` idiom so no helper call remains in the loop body.
-    """
-    x0, x1, x2, x3, x4, x5, x6, x7, x8, x9, x10, x11, x12, x13, x14, x15 = (
-        _BLOCK_WORDS.unpack(block)
-    )
-    a, b, c, d = state
-    M = _MASK
-
-    # Round 1: A = (A + F(B,C,D) + X[k]) <<< s, shifts 3/7/11/19.
-    t = (a + (d ^ (b & (c ^ d))) + x0) & M; a = (t << 3 | t >> 29) & M
-    t = (d + (c ^ (a & (b ^ c))) + x1) & M; d = (t << 7 | t >> 25) & M
-    t = (c + (b ^ (d & (a ^ b))) + x2) & M; c = (t << 11 | t >> 21) & M
-    t = (b + (a ^ (c & (d ^ a))) + x3) & M; b = (t << 19 | t >> 13) & M
-    t = (a + (d ^ (b & (c ^ d))) + x4) & M; a = (t << 3 | t >> 29) & M
-    t = (d + (c ^ (a & (b ^ c))) + x5) & M; d = (t << 7 | t >> 25) & M
-    t = (c + (b ^ (d & (a ^ b))) + x6) & M; c = (t << 11 | t >> 21) & M
-    t = (b + (a ^ (c & (d ^ a))) + x7) & M; b = (t << 19 | t >> 13) & M
-    t = (a + (d ^ (b & (c ^ d))) + x8) & M; a = (t << 3 | t >> 29) & M
-    t = (d + (c ^ (a & (b ^ c))) + x9) & M; d = (t << 7 | t >> 25) & M
-    t = (c + (b ^ (d & (a ^ b))) + x10) & M; c = (t << 11 | t >> 21) & M
-    t = (b + (a ^ (c & (d ^ a))) + x11) & M; b = (t << 19 | t >> 13) & M
-    t = (a + (d ^ (b & (c ^ d))) + x12) & M; a = (t << 3 | t >> 29) & M
-    t = (d + (c ^ (a & (b ^ c))) + x13) & M; d = (t << 7 | t >> 25) & M
-    t = (c + (b ^ (d & (a ^ b))) + x14) & M; c = (t << 11 | t >> 21) & M
-    t = (b + (a ^ (c & (d ^ a))) + x15) & M; b = (t << 19 | t >> 13) & M
-
-    # Round 2: A = (A + G(B,C,D) + X[k] + 5A827999) <<< s, shifts 3/5/9/13.
-    K = _ROUND2_CONSTANT
-    t = (a + ((b & (c | d)) | (c & d)) + x0 + K) & M; a = (t << 3 | t >> 29) & M
-    t = (d + ((a & (b | c)) | (b & c)) + x4 + K) & M; d = (t << 5 | t >> 27) & M
-    t = (c + ((d & (a | b)) | (a & b)) + x8 + K) & M; c = (t << 9 | t >> 23) & M
-    t = (b + ((c & (d | a)) | (d & a)) + x12 + K) & M; b = (t << 13 | t >> 19) & M
-    t = (a + ((b & (c | d)) | (c & d)) + x1 + K) & M; a = (t << 3 | t >> 29) & M
-    t = (d + ((a & (b | c)) | (b & c)) + x5 + K) & M; d = (t << 5 | t >> 27) & M
-    t = (c + ((d & (a | b)) | (a & b)) + x9 + K) & M; c = (t << 9 | t >> 23) & M
-    t = (b + ((c & (d | a)) | (d & a)) + x13 + K) & M; b = (t << 13 | t >> 19) & M
-    t = (a + ((b & (c | d)) | (c & d)) + x2 + K) & M; a = (t << 3 | t >> 29) & M
-    t = (d + ((a & (b | c)) | (b & c)) + x6 + K) & M; d = (t << 5 | t >> 27) & M
-    t = (c + ((d & (a | b)) | (a & b)) + x10 + K) & M; c = (t << 9 | t >> 23) & M
-    t = (b + ((c & (d | a)) | (d & a)) + x14 + K) & M; b = (t << 13 | t >> 19) & M
-    t = (a + ((b & (c | d)) | (c & d)) + x3 + K) & M; a = (t << 3 | t >> 29) & M
-    t = (d + ((a & (b | c)) | (b & c)) + x7 + K) & M; d = (t << 5 | t >> 27) & M
-    t = (c + ((d & (a | b)) | (a & b)) + x11 + K) & M; c = (t << 9 | t >> 23) & M
-    t = (b + ((c & (d | a)) | (d & a)) + x15 + K) & M; b = (t << 13 | t >> 19) & M
-
-    # Round 3: A = (A + (B^C^D) + X[k] + 6ED9EBA1) <<< s, shifts 3/9/11/15.
-    K = _ROUND3_CONSTANT
-    t = (a + (b ^ c ^ d) + x0 + K) & M; a = (t << 3 | t >> 29) & M
-    t = (d + (a ^ b ^ c) + x8 + K) & M; d = (t << 9 | t >> 23) & M
-    t = (c + (d ^ a ^ b) + x4 + K) & M; c = (t << 11 | t >> 21) & M
-    t = (b + (c ^ d ^ a) + x12 + K) & M; b = (t << 15 | t >> 17) & M
-    t = (a + (b ^ c ^ d) + x2 + K) & M; a = (t << 3 | t >> 29) & M
-    t = (d + (a ^ b ^ c) + x10 + K) & M; d = (t << 9 | t >> 23) & M
-    t = (c + (d ^ a ^ b) + x6 + K) & M; c = (t << 11 | t >> 21) & M
-    t = (b + (c ^ d ^ a) + x14 + K) & M; b = (t << 15 | t >> 17) & M
-    t = (a + (b ^ c ^ d) + x1 + K) & M; a = (t << 3 | t >> 29) & M
-    t = (d + (a ^ b ^ c) + x9 + K) & M; d = (t << 9 | t >> 23) & M
-    t = (c + (d ^ a ^ b) + x5 + K) & M; c = (t << 11 | t >> 21) & M
-    t = (b + (c ^ d ^ a) + x13 + K) & M; b = (t << 15 | t >> 17) & M
-    t = (a + (b ^ c ^ d) + x3 + K) & M; a = (t << 3 | t >> 29) & M
-    t = (d + (a ^ b ^ c) + x11 + K) & M; d = (t << 9 | t >> 23) & M
-    t = (c + (d ^ a ^ b) + x7 + K) & M; c = (t << 11 | t >> 21) & M
-    t = (b + (c ^ d ^ a) + x15 + K) & M; b = (t << 15 | t >> 17) & M
-
-    return (
-        (state[0] + a) & M,
-        (state[1] + b) & M,
-        (state[2] + c) & M,
-        (state[3] + d) & M,
-    )
-
-
-def _python_md4(message, block_fn=_process_block):
-    """MD4 of ``message`` (bytes) computed in Python with ``block_fn``."""
+def _python_md4(message):
+    """MD4 of ``message`` (bytes) computed in Python."""
     state = (0x67452301, 0xEFCDAB89, 0x98BADCFE, 0x10325476)
     padded = _pad(message)
     for offset in range(0, len(padded), 64):
-        state = block_fn(state, padded[offset : offset + 64])
+        state = _process_block_reference(state, padded[offset : offset + 64])
     return struct.pack("<4I", *state)
 
 
@@ -293,8 +214,7 @@ _optimized_md4 = _first_digest
 def backend():
     """Name of the MD4 implementation in use: ``"openssl"`` or ``"python"``.
 
-    In baseline perf mode this is always ``"python"`` (the reference
-    block).  Otherwise it builds the OpenSSL backend if no digest has
+    In baseline perf mode this is always ``"python"``.  Otherwise it builds the OpenSSL backend if no digest has
     done so yet.
     """
     if not perf.optimized_enabled():
@@ -309,7 +229,7 @@ def backend():
 def _md4_digest_cached(message):
     if perf.optimized_enabled():
         return _optimized_md4(message)
-    return _python_md4(message, _process_block_reference)
+    return _python_md4(message)
 
 
 class _LruCacheAdapter:

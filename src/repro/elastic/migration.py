@@ -228,13 +228,7 @@ class MigrationCoordinator:
             if ring_index == job.dst_ring:
                 members = new_procs
             else:
-                link = cluster.links[
-                    (
-                        min(ring_index, job.dst_ring),
-                        max(ring_index, job.dst_ring),
-                    )
-                ]
-                members = link.side_pids(ring_index)
+                members = cluster.gateway_members(job.dst_ring, ring_index)
             for pid in sorted(cluster.rings[ring_index].managers):
                 cluster.rings[ring_index].managers[pid].reregister_group(
                     group_name, members

@@ -7,13 +7,13 @@ the loss, partition, or Byzantine compromise of an entire facility:
 
 * :mod:`repro.wan.config` — site specs, disjoint global numbering, and
   the directed inter-site link matrices, validated up front;
-* :mod:`repro.wan.gateway` — voted, duplicate-suppressed cross-site
-  re-origination over the :class:`~repro.sim.network.WanTopology`,
-  keeping exactly-once delivery with one Byzantine site-gateway
-  replica or one fully compromised site;
 * :mod:`repro.wan.manager` — the :class:`WanManager` facade: per-site
   :class:`~repro.cluster.manager.ClusterManager` instances on one
-  shared scheduler behind a single deploy/invoke API.
+  shared scheduler behind a single deploy/invoke API, joined by the
+  cluster's voted relays (:mod:`repro.cluster.gateway`) over a
+  :class:`~repro.cluster.gateway.WanHop`, which keeps exactly-once
+  delivery with one Byzantine site-gateway replica or one fully
+  compromised site.
 
 ``python -m repro.bench.wan`` runs the geo-replicated bank drill and
 the RTT-independence sweep; ``docs/WAN.md`` documents the site model,
@@ -21,13 +21,10 @@ the federation topology, and the failure semantics.
 """
 
 from repro.wan.config import SiteSpec, WanConfig, WanConfigError
-from repro.wan.gateway import SiteGatewayLink, SiteGatewayReplica
 from repro.wan.manager import WanDirectory, WanHandle, WanManager
 
 __all__ = [
     "SiteSpec",
-    "SiteGatewayLink",
-    "SiteGatewayReplica",
     "WanConfig",
     "WanConfigError",
     "WanDirectory",

@@ -4,9 +4,10 @@ A :class:`WanManager` owns one :class:`~repro.cluster.manager.
 ClusterManager` per site — all driven by a single shared discrete-event
 scheduler (one timeline across the whole federation), numbered from
 disjoint global processor-id ranges, sharing one key directory and one
-observability bundle — plus a :class:`~repro.wan.gateway.
-SiteGatewayLink` per site pair carrying the voted inter-site traffic
-over the :class:`~repro.sim.network.WanTopology`.  Workloads use it
+observability bundle — plus a :class:`~repro.cluster.gateway.
+GatewayLink` per site pair whose :class:`~repro.cluster.gateway.WanHop`
+carries the voted inter-site traffic over the :class:`~repro.sim.
+network.WanTopology`.  Workloads use it
 exactly like a single cluster::
 
     wan = WanManager(WanConfig(sites=("alpha", "beta")))
@@ -28,13 +29,13 @@ exactly-once semantics.
 
 import random
 
+from repro.cluster.gateway import GatewayLink, WanHop, inject_corruption
 from repro.cluster.manager import ClusterManager
 from repro.cluster.placement import rendezvous_ranking
 from repro.crypto.keystore import KeyStore
 from repro.sim.rng import RngStreams
 from repro.sim.scheduler import Scheduler
 from repro.wan.config import WanConfig, WanConfigError
-from repro.wan.gateway import SiteGatewayLink
 
 
 class WanDirectory:
@@ -160,8 +161,9 @@ class WanManager:
                 ring_base=self.config.ring_base(index),
             )
 
-        #: (site a, site b) in config order -> SiteGatewayLink
+        #: (site a, site b) in config order -> GatewayLink over the WAN
         self.links = {}
+        hop = WanHop(self)
         for i, a in enumerate(self._site_order):
             for b in self._site_order[i + 1:]:
                 pairs = list(
@@ -170,7 +172,7 @@ class WanManager:
                         self.sites[b].config.wan_gateway_pids(),
                     )
                 )
-                self.links[(a, b)] = SiteGatewayLink(self, a, b, pairs)
+                self.links[(a, b)] = GatewayLink(hop, a, b, pairs)
 
         self._started = False
         if obs is not None:
@@ -185,12 +187,8 @@ class WanManager:
         registry.gauge("wan.links").set(len(self.links))
         registry.gauge("wan.groups").set(len(self.directory.groups()))
         for (a, b), link in sorted(self.links.items()):
-            forwarded = sum(
-                r.forward_ab.stats["forwarded"] + r.forward_ba.stats["forwarded"]
-                for r in link.replicas
-            )
             registry.gauge("wan.link_forwarded", link="%s-%s" % (a, b)).set(
-                forwarded
+                link.forwarded()
             )
 
     def site_of_shard(self):
@@ -301,7 +299,7 @@ class WanManager:
     def corrupt_site_gateway(self, site_a, site_b, index=0, at_time=None, direction=None):
         """Make one site-gateway replica of a link Byzantine.
 
-        With ``direction`` (a site name) only the forwarder carrying
+        With ``direction`` (a site name) only the relay carrying
         traffic *out of* that site corrupts, and ``value_fault`` ground
         truth is recorded against the replica's pid at the receiving
         site — the side where its forged copies are voted down and
@@ -312,44 +310,17 @@ class WanManager:
         voted first; drills that gate on recall should pick a direction.
         """
         link = self._link(site_a, site_b)
-        replica = link.replicas[index]
-        if direction is None:
-            targets = [replica]
-            culprits = (replica.pid_a, replica.pid_b)
-        else:
-            if direction == link.site_a:
-                forwarder = replica.forward_ab
-                culprits = (replica.pid_b,)
-            elif direction == link.site_b:
-                forwarder = replica.forward_ba
-                culprits = (replica.pid_a,)
-            else:
-                raise WanConfigError(
-                    "direction %r is not a site of link %s<->%s"
-                    % (direction, link.site_a, link.site_b)
-                )
-            targets = [forwarder]
-
-        def arm():
-            for target in targets:
-                target.corrupt = True
-
-        if at_time is None:
-            arm()
-        else:
-            self.scheduler.at(at_time, arm, label="wan.corrupt")
-        if self.obs is not None and self.obs.forensics is not None:
-            from repro.obs.forensics import fault_id_for
-
-            when = at_time if at_time is not None else self.scheduler.now
-            for pid in culprits:
-                self.obs.forensics.record_ground_truth(
-                    fault_id_for("value_fault", pid, when), "value_fault", pid, when
-                )
-        return replica
+        try:
+            relays, culprits = link.corruption(index, direction)
+        except ValueError as exc:
+            raise WanConfigError("direction %s" % exc) from None
+        inject_corruption(
+            self.scheduler, self.obs, relays, culprits, at_time, "wan.corrupt"
+        )
+        return link.replicas[index]
 
     def compromise_site(self, site, at_time=None):
-        """Turn a *whole site* Byzantine: every forwarder carrying data
+        """Turn a *whole site* Byzantine: every relay carrying data
         out of ``site`` corrupts what it sends, each replica differently.
 
         Because the compromised copies disagree with each other, no
@@ -366,31 +337,20 @@ class WanManager:
                 "unknown site %r (federation has %s)"
                 % (site, list(self._site_order))
             )
-        forwarders = []
+        relays = []
         for (a, b), link in sorted(self.links.items()):
             if site in (a, b):
-                forwarders.extend(link.forwarders_from(site))
-
-        def arm():
-            for forwarder in forwarders:
-                forwarder.corrupt = True
-
-        if at_time is None:
-            arm()
-        else:
-            self.scheduler.at(at_time, arm, label="wan.compromise")
-        if self.obs is not None and self.obs.forensics is not None:
-            from repro.obs.forensics import fault_id_for
-
-            when = at_time if at_time is not None else self.scheduler.now
-            for pid in self.sites[site].config.wan_gateway_pids():
-                self.obs.forensics.record_ground_truth(
-                    fault_id_for("site_compromise", pid, when),
-                    "site_compromise",
-                    pid,
-                    when,
-                )
-        return forwarders
+                relays.extend(link.relays_from(site))
+        inject_corruption(
+            self.scheduler,
+            self.obs,
+            relays,
+            self.sites[site].config.wan_gateway_pids(),
+            at_time,
+            "wan.compromise",
+            kind="site_compromise",
+        )
+        return relays
 
     # ------------------------------------------------------------------
     # lifecycle

@@ -218,3 +218,33 @@ def test_whole_site_compromise_fails_safe():
     scorecard = score(obs.forensics)
     assert scorecard["precision"] == 1.0
     assert scorecard["recall"] == 1.0
+
+
+def test_copy_in_flight_keeps_its_send_time_corrupt_flag():
+    """A relay turning Byzantine while its honest copy is in flight.
+
+    The beta->alpha invocation copies leave at t~0.106, before the
+    compromise at 0.116, and land at t~0.186.  They were sent honest,
+    every reply is the correct value, and the forensic record of each
+    landing must say so.
+    """
+    config = WanConfig(sites=("alpha", "beta"), seed=3, latency=0.080)
+    obs = Observability(forensics=ForensicsHub())
+    wan = WanManager(config=config, obs=obs)
+    server = wan.deploy(
+        "counter", COUNTER_IDL, lambda pid: CountingServant(), site="alpha"
+    )
+    client = wan.deploy_client("driver", site="beta")
+    replies = _drive(wan, client, server, operations=1)
+    wan.compromise_site("beta", at_time=0.116)
+    wan.start()
+    wan.run(until=1.0)
+
+    assert replies == [1] * len(client.replica_procs)
+    landed = [
+        e for e in merge_timeline(obs.forensics)
+        if e.etype == "wan_forward" and e.get("from_site") == "beta"
+    ]
+    assert len(landed) == config.wan_gateway_degree
+    assert all(e.time > 0.116 for e in landed)
+    assert [e.get("corrupt") for e in landed] == [False] * len(landed)

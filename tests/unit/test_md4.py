@@ -1,7 +1,6 @@
 """MD4 against the RFC 1320 appendix test vectors, on every backend."""
 
 import ctypes
-import functools
 import hashlib
 
 import pytest
@@ -60,7 +59,7 @@ def test_single_bit_change_changes_digest():
     assert base != flipped
 
 
-# --- Backends: OpenSSL, the unrolled block and the reference block -------
+# --- Backends: OpenSSL and the reference block ----------------------------
 
 
 @pytest.fixture(scope="module")
@@ -84,29 +83,17 @@ def fresh_backend(monkeypatch):
 
 
 def _reference(message):
-    return md4._python_md4(message, md4._process_block_reference)
-
-
-PYTHON_BACKENDS = {
-    "unrolled": functools.partial(md4._python_md4, block_fn=md4._process_block),
-    "reference": _reference,
-}
+    return md4._python_md4(message)
 
 
 @pytest.mark.parametrize("message,expected", RFC1320_VECTORS)
-@pytest.mark.parametrize("name", ["openssl", "unrolled", "reference"])
+@pytest.mark.parametrize("name", ["openssl", "reference"])
 def test_rfc1320_vectors_per_backend(request, name, message, expected):
     if name == "openssl":
         fn = request.getfixturevalue("openssl_md4")
     else:
-        fn = PYTHON_BACKENDS[name]
+        fn = _reference
     assert fn(message).hex() == expected
-
-
-def test_unrolled_matches_reference_on_every_length():
-    for n in range(301):
-        message = bytes((i * 7 + n) & 0xFF for i in range(n))
-        assert md4._python_md4(message) == _reference(message), n
 
 
 def test_openssl_matches_reference_on_every_length(openssl_md4):
@@ -126,7 +113,7 @@ def test_md4_digest_bytes_and_bytearray_match_reference(fresh_backend):
         assert md4.md4_digest(bytearray(message)) == expected, n
 
 
-# --- Loader failures fall back to the unrolled Python block --------------
+# --- Loader failures fall back to the Python reference block -------------
 
 
 LOADER_FAILURES = {
